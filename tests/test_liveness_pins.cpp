@@ -1,0 +1,283 @@
+// Characterization pins for everything that consults liveness: routed
+// inference, the serving plane's failover and the training-side sessions
+// under crash, outage and loss faults, in oracle and detector mode.
+//
+// The determinism suites compare worker counts with one another; these pins
+// compare a run with a fixed FNV-1a hash of its observable outcome, so any
+// change to faulted behaviour — which node serves, what is charged, what is
+// marked degraded, what the sessions park or deliver — fails here even when
+// it is perfectly deterministic.
+//
+// Every scenario uses LinearLevelEncoder leaves (no libm transcendentals in
+// encoding) and the exact integer byte accounting. Updating a pin is only
+// legitimate after an intentional semantic change: re-run, read the actual
+// value from the failure output and record why it moved.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "core/edgehd.hpp"
+#include "data/dataset.hpp"
+#include "net/fault.hpp"
+#include "net/topology.hpp"
+#include "serve/engine.hpp"
+#include "serve/loadgen.hpp"
+
+namespace {
+
+using namespace edgehd;
+using net::FaultPlan;
+using net::kMillisecond;
+using net::kSecond;
+using net::NodeId;
+
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ULL;
+  void mix(std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  }
+};
+
+void mix_result(Fnv& f, const core::RoutedResult& r) {
+  f.mix(r.label);
+  f.mix(static_cast<std::uint64_t>(r.node));
+  f.mix(r.level);
+  f.mix(std::bit_cast<std::uint64_t>(r.confidence));
+  f.mix(r.bytes);
+  f.mix(r.retry_bytes);
+  f.mix(r.degraded ? 1 : 0);
+}
+
+void mix_comm(Fnv& f, const core::CommStats& c) {
+  f.mix(c.bytes);
+  f.mix(c.messages);
+}
+
+void mix_models(Fnv& f, const core::EdgeHdSystem& sys) {
+  const NodeId root = sys.topology().root();
+  const auto& clf = sys.classifier_at(root);
+  for (std::size_t c = 0; c < clf.num_classes(); ++c) {
+    for (const std::int32_t v : clf.class_accumulator(c)) {
+      f.mix(static_cast<std::uint32_t>(v));
+    }
+  }
+  for (const NodeId id : sys.stragglers()) f.mix(id);
+}
+
+data::Dataset pin_dataset(std::size_t train, std::size_t test) {
+  auto ds = data::make_synthetic("pins", 40, 3, {10, 10, 10, 10}, train, test,
+                                 57, 3.6F, 0.5F, 0.5F);
+  data::zscore_normalize(ds);
+  return ds;
+}
+
+core::SystemConfig pin_cfg(bool detector) {
+  core::SystemConfig cfg;
+  cfg.total_dim = 800;
+  cfg.batch_size = 6;
+  cfg.num_threads = 2;
+  cfg.leaf_encoder = hdc::EncoderKind::kLinearLevel;
+  cfg.detector.enabled = detector;
+  return cfg;
+}
+
+/// The deepest non-root ancestor of the first leaf (the first leaf itself
+/// in a star).
+NodeId gateway_of(const net::Topology& topo) {
+  const NodeId leaf = topo.leaves().front();
+  const NodeId parent = topo.parent(leaf);
+  return parent == topo.root() ? leaf : parent;
+}
+
+enum class Fault { kCrash, kOutage, kLoss };
+
+/// Static (whole-run) fault plans over `topo`.
+FaultPlan static_plan(const net::Topology& topo, Fault fault) {
+  const auto leaves = topo.leaves();
+  FaultPlan plan(41);
+  switch (fault) {
+    case Fault::kCrash:
+      plan.crash(gateway_of(topo)).crash(leaves[1]);
+      break;
+    case Fault::kOutage:
+      plan.outage(gateway_of(topo)).outage(leaves.back());
+      break;
+    case Fault::kLoss:
+      for (const NodeId leaf : leaves) plan.loss(leaf, 0.3);
+      plan.loss(gateway_of(topo), 0.1);
+      break;
+  }
+  return plan;
+}
+
+// ------------------------------------------------------------ routed batch
+
+std::uint64_t routed_grid_hash(const net::Topology& topo) {
+  const auto ds = pin_dataset(240, 48);
+  Fnv f;
+  std::size_t escalated = 0, degraded = 0, unserved = 0, retried = 0;
+  for (const bool detector : {false, true}) {
+    for (const bool serve_degraded : {true, false}) {
+      auto cfg = pin_cfg(detector);
+      cfg.confidence_threshold = 0.85;
+      cfg.failover.serve_degraded = serve_degraded;
+      core::EdgeHdSystem sys(ds, topo, cfg);
+      sys.train();
+      for (const Fault fault : {Fault::kCrash, Fault::kOutage, Fault::kLoss}) {
+        sys.set_fault_plan(static_plan(topo, fault));
+        for (const NodeId start : {topo.leaves()[0], topo.leaves()[1],
+                                   topo.leaves().back()}) {
+          for (const auto& r : sys.infer_routed_batch(ds.test_x, start)) {
+            mix_result(f, r);
+            if (r.served() && r.node != start) ++escalated;
+            if (r.served() && r.degraded) ++degraded;
+            if (!r.served()) ++unserved;
+            if (r.retry_bytes > 0) ++retried;
+          }
+        }
+        sys.clear_health();
+      }
+    }
+  }
+  // The grid exercises every branch it pins.
+  EXPECT_GT(escalated, 0u);
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(unserved, 0u);
+  EXPECT_GT(retried, 0u);
+  return f.h;
+}
+
+TEST(LivenessPins, RoutedBatchPaperTree) {
+  EXPECT_EQ(routed_grid_hash(net::Topology::paper_tree(4)),
+            0x0223d91ae9febe73ULL);
+}
+
+TEST(LivenessPins, RoutedBatchStar) {
+  EXPECT_EQ(routed_grid_hash(net::Topology::star(4)), 0xd750a2c01478d29fULL);
+}
+
+// ----------------------------------------------------------------- serving
+
+void mix_report(Fnv& f, const serve::ServeReport& r) {
+  f.mix(r.reply_hash);
+  f.mix(r.submitted);
+  f.mix(r.served);
+  f.mix(r.served_degraded);
+  f.mix(r.unserved);
+  f.mix(r.escalation_hops);
+  f.mix(r.failover_retries);
+  f.mix(r.failover_reroutes);
+  f.mix(r.failover_exhausted);
+}
+
+// The ChaosServe scenario: detector mode, a gateway crash window in the
+// middle of the arrival span, a generous failover budget.
+TEST(LivenessPins, ChaosServeFailover) {
+  const auto ds = pin_dataset(400, 100);
+  const auto topo = net::Topology::paper_tree(4);
+  FaultPlan plan(31);
+  plan.crash(topo.parent(topo.leaves().front()), 30 * kMillisecond,
+             90 * kMillisecond);
+  serve::ServeConfig scfg;
+  scfg.failover_retries = 20;
+  scfg.failover_backoff = 4 * kMillisecond;
+  auto cfg = pin_cfg(/*detector=*/true);
+  cfg.confidence_threshold = 1.1;  // every query escalates
+  core::EdgeHdSystem sys(ds, topo, cfg);
+  sys.train();
+  auto engine = sys.serve_start(scfg);
+  engine->set_fault_plan(plan);
+  const auto report = engine->run(
+      serve::LoadSpec::poisson(topo.leaves(), 1000.0, 400, 9));
+  EXPECT_GT(report.failover_reroutes, 0u);
+  Fnv f;
+  mix_report(f, report);
+  EXPECT_EQ(f.h, 0x33e049ab7f4e7335ULL);
+}
+
+// The Serve.GatewayOutageWindowDegradesThenRecovers scenario, in both modes.
+TEST(LivenessPins, GatewayOutageWindowServe) {
+  const auto ds = pin_dataset(600, 120);
+  const auto topo = net::Topology::paper_tree(4);
+  const auto leaves = topo.leaves();
+  FaultPlan plan(31);
+  plan.crash(topo.parent(leaves.front()), 50 * kMillisecond,
+             150 * kMillisecond);
+  serve::ServeConfig scfg;
+  scfg.queue_depth = 1u << 14;
+  scfg.max_batch = 16;
+  Fnv f;
+  for (const bool detector : {false, true}) {
+    auto cfg = pin_cfg(detector);
+    cfg.confidence_threshold = 0.97;
+    core::EdgeHdSystem sys(ds, topo, cfg);
+    sys.train();
+    const auto report = sys.serve_run(
+        scfg,
+        serve::LoadSpec::poisson({leaves.begin(), leaves.end()}, 4000.0, 1000,
+                                 13),
+        plan);
+    EXPECT_GT(report.served_degraded, 0u);
+    mix_report(f, report);
+  }
+  EXPECT_EQ(f.h, 0x58b37f5f527312aaULL);
+}
+
+// --------------------------------------------------------------- sessions
+
+/// train -> online feedback -> propagate_residuals under a gateway crash
+/// window, a permanent leaf outage and a lossy leaf, then recovery:
+/// reintegrate_stragglers and rejoin_node once the crash window closes.
+std::uint64_t lifecycle_hash(bool detector) {
+  const auto ds = pin_dataset(300, 60);
+  const auto topo = net::Topology::paper_tree(4);
+  const auto leaves = topo.leaves();
+  const NodeId gw = topo.parent(leaves.front());
+  FaultPlan plan(17);
+  plan.crash(gw, 0, 1 * kSecond).outage(leaves.back()).loss(leaves[2], 0.2);
+
+  core::EdgeHdSystem sys(ds, topo, pin_cfg(detector));
+  sys.set_fault_plan(plan, 0);
+  Fnv f;
+  mix_comm(f, sys.train());
+  mix_models(f, sys);
+  EXPECT_FALSE(sys.stragglers().empty());
+
+  for (std::size_t s = 0; s < ds.test_size(); ++s) {
+    mix_result(f, sys.online_serve(ds.test_x[s], ds.test_y[s],
+                                   leaves[s % leaves.size()]));
+  }
+  mix_comm(f, sys.propagate_residuals());
+  mix_models(f, sys);
+
+  // The crash window closes; the outage and the loss persist.
+  if (detector) {
+    sys.advance_detector(2 * kSecond);
+  } else {
+    sys.set_fault_plan(plan, 2 * kSecond);
+  }
+  const auto reintegrated = sys.reintegrate_stragglers();
+  EXPECT_GT(reintegrated.bytes, 0u);
+  mix_comm(f, reintegrated);
+  mix_models(f, sys);
+  const auto rejoined = sys.rejoin_node(
+      gw, detector ? std::nullopt : std::optional<std::uint64_t>(1));
+  EXPECT_GT(rejoined.bytes, 0u);
+  mix_comm(f, rejoined);
+  mix_models(f, sys);
+  return f.h;
+}
+
+TEST(LivenessPins, SessionsUnderFaultsOracle) {
+  EXPECT_EQ(lifecycle_hash(/*detector=*/false), 0x4d3eafac3215a8edULL);
+}
+
+TEST(LivenessPins, SessionsUnderFaultsDetector) {
+  EXPECT_EQ(lifecycle_hash(/*detector=*/true), 0xbdc946a476a3b522ULL);
+}
+
+}  // namespace
