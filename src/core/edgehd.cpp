@@ -188,9 +188,7 @@ proto::SessionContext EdgeHdSystem::session_context() {
   ctx.topology = &topology_;
   ctx.nodes = nodes_;
   ctx.bus = bus_.get();
-  ctx.health = &health_;
-  ctx.suspicion = detector_ ? &detector_->view() : nullptr;
-  ctx.degraded = effective_degraded();
+  ctx.liveness = liveness();
   ctx.num_classes = ds_.num_classes;
   ctx.batch_size = config_.batch_size;
   ctx.pending_contrib = &pending_contrib_;
@@ -204,13 +202,11 @@ proto::RoutingContext EdgeHdSystem::routing_context() const {
   proto::RoutingContext ctx;
   ctx.topology = &topology_;
   ctx.nodes = nodes_;
-  ctx.health = &health_;
-  ctx.suspicion = detector_ ? &detector_->view() : nullptr;
-  ctx.degraded = effective_degraded();
+  ctx.liveness = liveness();
   ctx.confidence_threshold = config_.confidence_threshold;
   ctx.compression = config_.compression;
   ctx.serve_degraded = config_.failover.serve_degraded;
-  ctx.max_retries = config_.failover.max_retries;
+  ctx.max_retries = config_.reliable.max_retries;
   ctx.escalations = &CoreObs::get().routed_escalations;
   return ctx;
 }
@@ -252,7 +248,6 @@ void EdgeHdSystem::set_health(net::HealthMask mask) {
         "EdgeHdSystem: health mask size must match the topology");
   }
   health_ = std::move(mask);
-  degraded_ = !health_.empty() && !health_.all_healthy();
 }
 
 void EdgeHdSystem::set_fault_plan(const net::FaultPlan& plan,
@@ -286,25 +281,12 @@ void EdgeHdSystem::set_fault_plan(const net::FaultPlan& plan,
 
 void EdgeHdSystem::clear_health() {
   health_ = {};
-  degraded_ = false;
   detector_.reset();
   has_plan_ = false;
 }
 
-bool EdgeHdSystem::node_up(NodeId id) const noexcept {
-  return !degraded_ || health_.node_up(id);
-}
-
-bool EdgeHdSystem::link_up(NodeId child) const noexcept {
-  return !degraded_ || health_.link_up(child);
-}
-
-bool EdgeHdSystem::child_delivers(NodeId child) const noexcept {
-  return node_up(child) && link_up(child);
-}
-
-bool EdgeHdSystem::effective_degraded() const noexcept {
-  return degraded_ || (detector_ && !detector_->view().all_healthy());
+net::Liveness EdgeHdSystem::liveness() const noexcept {
+  return {&health_, detector_ ? &detector_->view() : nullptr};
 }
 
 void EdgeHdSystem::advance_detector(net::SimTime now) {
@@ -349,54 +331,15 @@ std::vector<NodeId> EdgeHdSystem::bottom_up_order() const {
 }
 
 std::vector<BipolarHV> EdgeHdSystem::encode_all(
-    std::span<const float> x) const {
+    std::span<const float> x, const net::HealthMask& world) const {
   if (x.size() != ds_.num_features) {
     throw std::invalid_argument("EdgeHdSystem: feature count mismatch");
   }
+  const net::Liveness live(&world, nullptr);
   std::vector<BipolarHV> hvs(topology_.num_nodes());
   for (NodeId id : bottom_up_order()) {
     const proto::NodeRuntime& rt = nodes_[id];
-    if (topology_.is_leaf(id)) {
-      const std::size_t offset = ds_.partition_offset(rt.partition());
-      hvs[id] = rt.leaf_encoder().encode(
-          x.subspan(offset, ds_.partitions[rt.partition()]));
-    } else {
-      const auto& kids = topology_.children(id);
-      std::vector<BipolarHV> child_hvs(kids.size());
-      for (std::size_t c = 0; c < kids.size(); ++c) {
-        child_hvs[c] = hvs[kids[c]];
-      }
-      hvs[id] = rt.aggregator().aggregate(child_hvs);
-    }
-  }
-  return hvs;
-}
-
-std::vector<BipolarHV> EdgeHdSystem::encode_all_masked(
-    std::span<const float> x) const {
-  return encode_all_masked(x, health_);
-}
-
-std::vector<BipolarHV> EdgeHdSystem::encode_all_masked(
-    std::span<const float> x, const net::HealthMask& mask) const {
-  if (x.size() != ds_.num_features) {
-    throw std::invalid_argument("EdgeHdSystem: feature count mismatch");
-  }
-  const auto up = [&mask](NodeId id) {
-    return mask.empty() || mask.node_up(id);
-  };
-  const auto delivers = [&mask, &up](NodeId child) {
-    return up(child) && (mask.empty() || mask.link_up(child));
-  };
-  // Like encode_all, but a child whose contribution cannot reach its parent
-  // is replaced by silence (all-zero components — the same "no signal"
-  // convention as the Figure-12 erasure model). Crashed nodes emit silence
-  // themselves, so the degradation cascades exactly as a real partition
-  // would.
-  std::vector<BipolarHV> hvs(topology_.num_nodes());
-  for (NodeId id : bottom_up_order()) {
-    const proto::NodeRuntime& rt = nodes_[id];
-    if (!up(id)) {
+    if (!live.node_up(id)) {
       hvs[id] = BipolarHV(rt.dim(), 0);
       continue;
     }
@@ -408,9 +351,11 @@ std::vector<BipolarHV> EdgeHdSystem::encode_all_masked(
       const auto& kids = topology_.children(id);
       std::vector<BipolarHV> child_hvs(kids.size());
       for (std::size_t c = 0; c < kids.size(); ++c) {
-        child_hvs[c] = delivers(kids[c])
-                           ? hvs[kids[c]]
-                           : BipolarHV(nodes_[kids[c]].dim(), 0);
+        if (live.delivers(kids[c])) {
+          child_hvs[c] = hvs[kids[c]];
+        } else {
+          child_hvs[c].assign(nodes_[kids[c]].dim(), 0);
+        }
       }
       hvs[id] = rt.aggregator().aggregate(child_hvs);
     }
@@ -598,7 +543,9 @@ double EdgeHdSystem::mean_confidence_at_level(std::size_t level) const {
 // ---- routed inference ------------------------------------------------------
 
 std::uint64_t EdgeHdSystem::query_gather_bytes(NodeId id) const {
-  return proto::query_gather_bytes(routing_context(), id);
+  proto::RoutingContext ctx = routing_context();
+  ctx.liveness = net::Liveness{};  // the all-healthy charge
+  return proto::settle(ctx, id).bytes;
 }
 
 RoutedResult EdgeHdSystem::infer_routed(std::span<const float> x,
@@ -606,37 +553,24 @@ RoutedResult EdgeHdSystem::infer_routed(std::span<const float> x,
   if (!has_classifier(start)) {
     throw std::invalid_argument("EdgeHdSystem: start node hosts no classifier");
   }
-  if (effective_degraded()) {
-    RoutedResult result = infer_routed_degraded(x, start);
-    record_routed(result);
-    if (result.served()) node_serves_[result.node].inc();
-    return result;
-  }
-  auto& tracer = obs::Tracer::global();
-  const std::uint64_t span =
-      tracer.begin("core.infer_routed", obs::kAutoTime, 0, start);
-  const auto hvs = encode_all(x);
-  tracer.instant("core.encode", obs::kAutoTime, span);
-  const RoutedResult result =
-      proto::route_query(routing_context(), hvs, start, /*query_id=*/0, span);
-  tracer.end(span);
-  record_routed(result);
-  node_serves_[result.node].inc();
-  return result;
-}
-
-RoutedResult EdgeHdSystem::infer_routed_degraded(std::span<const float> x,
-                                                 NodeId start) const {
-  if (!node_up(start)) {
-    // The query's origin is dead; nobody can even pose the question (and
-    // there is nothing worth encoding).
-    RoutedResult result;
+  const proto::RoutingContext ctx = routing_context();
+  RoutedResult result;
+  if (!ctx.liveness.origin_up(start)) {
+    // The query's origin is physically dead; nobody can even pose the
+    // question (and there is nothing worth encoding).
     result.degraded = true;
-    return result;
+  } else {
+    auto& tracer = obs::Tracer::global();
+    const std::uint64_t span =
+        tracer.begin("core.infer_routed", obs::kAutoTime, 0, start);
+    const auto hvs = encode_all(x, health_);
+    tracer.instant("core.encode", obs::kAutoTime, span);
+    result = proto::route_query(ctx, hvs, start, /*query_id=*/0, span);
+    tracer.end(span);
   }
-  const auto hvs = encode_all_masked(x);
-  return proto::route_query_degraded(routing_context(), hvs, start,
-                                     /*query_id=*/0);
+  record_routed(result);
+  if (result.served()) node_serves_[result.node].inc();
+  return result;
 }
 
 std::vector<RoutedResult> EdgeHdSystem::infer_routed_batch(
@@ -686,12 +620,8 @@ std::unique_ptr<serve::Engine> EdgeHdSystem::serve_start(
     }
     return rt.leaf_encoder().encode_batch(slices, *pool_);
   };
-  b.encode_all = [this](std::uint64_t sample) {
-    return encode_all(ds_.test_x[sample]);
-  };
-  b.encode_all_masked = [this](std::uint64_t sample,
-                               const net::HealthMask& mask) {
-    return encode_all_masked(ds_.test_x[sample], mask);
+  b.encode_all = [this](std::uint64_t sample, const net::HealthMask& world) {
+    return encode_all(ds_.test_x[sample], world);
   };
   const CoreObs& o = CoreObs::get();
   b.routed_queries = o.routed_queries;
@@ -731,7 +661,7 @@ RoutedResult EdgeHdSystem::online_serve(std::span<const float> x,
     // The user rejects the answer; only the wrongly matched class is known.
     // Under a health mask the feedback targets the hypervector the serving
     // node actually saw (with unreachable contributions silenced).
-    const auto hvs = degraded_ ? encode_all_masked(x) : encode_all(x);
+    const auto hvs = encode_all(x, health_);
     for (std::size_t w = 0; w < config_.feedback_weight; ++w) {
       nodes_[result.node].classifier().feedback_negative(result.label,
                                                          hvs[result.node]);

@@ -38,6 +38,7 @@
 #include "hier/hier_encoder.hpp"
 #include "net/detector.hpp"
 #include "net/fault.hpp"
+#include "net/liveness.hpp"
 #include "net/simulator.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
@@ -61,10 +62,6 @@ struct FailoverPolicy {
   /// instead — the fail-fast mode for callers that prefer an explicit error
   /// over a low-confidence answer.
   bool serve_degraded = true;
-  /// Retry cap assumed by the retry-byte accounting on lossy links: a hop
-  /// with loss p is charged the expected (1-p^(R+1))/(1-p) transmissions
-  /// per packet (matches net::ReliableConfig::max_retries).
-  std::size_t max_retries = 5;
 };
 
 /// Deployment-wide configuration (defaults are the paper's Section VI-A
@@ -121,9 +118,9 @@ struct SystemConfig {
   /// oracle survives only as world simulation (a dead origin cannot query).
   net::DetectorConfig detector;
   /// Reliable-transport retry policy for simulator-backed deployments of
-  /// this system (net::Simulator::send_reliable). The retry-byte accounting
-  /// in routed inference assumes failover.max_retries matches
-  /// reliable.max_retries (both default to 5).
+  /// this system (net::Simulator::send_reliable). Routed inference charges a
+  /// lossy hop with loss p the expected (1-p^(R+1))/(1-p) transmissions per
+  /// packet under R = reliable.max_retries.
   net::ReliableConfig reliable;
   /// Collective model-exchange schedules for the training sessions
   /// (proto/collective.hpp). Disabled by default: the legacy point-to-point
@@ -178,8 +175,13 @@ class EdgeHdSystem {
 
   /// Encodes a full feature vector at every node of the hierarchy (leaf
   /// encoders at the leaves, hierarchical aggregation above). Indexed by
-  /// NodeId.
-  std::vector<hdc::BipolarHV> encode_all(std::span<const float> x) const;
+  /// NodeId. Under a `world` mask, a crashed node emits silence (all-zero
+  /// components, the Figure-12 "no signal" convention) and a child whose
+  /// contribution cannot reach its parent is silenced there, so degradation
+  /// cascades as a real partition would; an empty or all-healthy mask
+  /// silences nothing.
+  std::vector<hdc::BipolarHV> encode_all(
+      std::span<const float> x, const net::HealthMask& world = {}) const;
 
   // ---- training ------------------------------------------------------------
 
@@ -281,9 +283,8 @@ class EdgeHdSystem {
 
   /// Installs a connectivity snapshot. Protocols run after this call skip
   /// crashed nodes, aggregate only the child contributions whose path is up,
-  /// and route inference over reachable nodes only. An all-healthy mask is
-  /// zero-cost: every protocol takes its fault-free fast path and results
-  /// are bit-identical to never having set a mask.
+  /// and route inference over reachable nodes only. An all-healthy mask
+  /// changes nothing: results are bit-identical to never having set a mask.
   void set_health(net::HealthMask mask);
 
   /// Convenience: snapshot `plan` at instant `at` and install it.
@@ -297,7 +298,7 @@ class EdgeHdSystem {
 
   /// True when the installed mask actually degrades something — or, in
   /// detector mode, when the detector currently suspects something.
-  bool degraded_mode() const noexcept { return effective_degraded(); }
+  bool degraded_mode() const noexcept { return !liveness().all_healthy(); }
 
   // ---- failure detection & churn membership (DESIGN.md §11) ----------------
 
@@ -364,25 +365,9 @@ class EdgeHdSystem {
   void ensure_train_encoded(std::span<const std::size_t> train_indices);
   void ensure_test_encoded() const;
 
-  // ---- health helpers (true when no mask is installed) ---------------------
-  bool node_up(net::NodeId id) const noexcept;
-  bool link_up(net::NodeId child) const noexcept;
-  /// Oracle mask degrades something, or the detector suspects something.
-  bool effective_degraded() const noexcept;
-  /// A child's contribution reaches its parent iff the child and its uplink
-  /// are both up (the parent's own liveness is the caller's context).
-  bool child_delivers(net::NodeId child) const noexcept;
-
-  /// encode_all with unreachable child contributions zeroed (the transport
-  /// analogue of the Figure-12 dimension erasure), under the installed mask.
-  std::vector<hdc::BipolarHV> encode_all_masked(std::span<const float> x) const;
-  /// Same, under an explicit mask (the serving plane re-snapshots health per
-  /// virtual time, so it cannot use the installed member mask).
-  std::vector<hdc::BipolarHV> encode_all_masked(
-      std::span<const float> x, const net::HealthMask& mask) const;
-
-  RoutedResult infer_routed_degraded(std::span<const float> x,
-                                     net::NodeId start) const;
+  /// The installed mask as the world, the detector's view (if any) as the
+  /// beliefs. Built per call: the detector's view moves as it advances.
+  net::Liveness liveness() const noexcept;
 
   std::vector<std::size_t> effective_indices(
       std::span<const std::size_t> train_indices) const;
@@ -436,7 +421,6 @@ class EdgeHdSystem {
 
   // ---- degraded-operation state --------------------------------------------
   net::HealthMask health_;   ///< empty = all healthy
-  bool degraded_ = false;    ///< mask installed and not all-healthy
   /// The installed fault plan (stable storage for the detector's lifetime).
   net::FaultPlan plan_;
   bool has_plan_ = false;

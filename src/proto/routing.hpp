@@ -9,20 +9,23 @@
 // batched inference can fan queries across threads against const
 // NodeRuntimes (warm the classifier caches first).
 //
+// The escalation rule lives in next_step alone; the synchronous walk
+// (route_query) and the async serving plane (src/serve) both drive it, one
+// decision per verdict. Faults enter only through RoutingContext::liveness
+// — a healthy deployment is the fault-free Liveness, not a separate path.
+//
 // Byte accounting: the paper charges a served query the amortized cost of
 // *gathering* its hypervector at the serving node (m-to-1 compressed on
-// every hop), not the escalation envelopes — query_gather_bytes /
-// gather_bytes_masked are that canonical accounting. The per-envelope
-// "proto.query_escalate.*" / "proto.query_reply.*" metrics observe the
-// control traffic separately.
+// every hop), not the escalation envelopes — settle() is that canonical
+// accounting. The per-envelope "proto.query_escalate.*" /
+// "proto.query_reply.*" metrics observe the control traffic separately.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "hdc/hypervector.hpp"
-#include "net/detector.hpp"
-#include "net/fault.hpp"
+#include "net/liveness.hpp"
 #include "net/topology.hpp"
 #include "node_runtime.hpp"
 #include "obs/metrics.hpp"
@@ -35,53 +38,47 @@ namespace edgehd::proto {
 struct RoutingContext {
   const net::Topology* topology = nullptr;
   std::span<const NodeRuntime> nodes;  ///< indexed by NodeId
-  /// The simulated physical world. With a detector installed this is only
-  /// consulted where the world itself matters (a dead origin cannot pose a
-  /// query); all reachability *decisions* come from `suspicion`.
-  const net::HealthMask* health = nullptr;  ///< may be empty
-  /// Earned beliefs from the failure detector. When set, node_up/link_up/
-  /// link-loss decisions use this instead of the oracle mask.
-  const net::SuspicionView* suspicion = nullptr;
-  bool degraded = false;
+  /// Who is up: the detector's beliefs when one runs, the world otherwise.
+  net::Liveness liveness;
   double confidence_threshold = 0.75;
   std::size_t compression = 1;  ///< m, query hypervectors per bundle
   bool serve_degraded = true;   ///< FailoverPolicy::serve_degraded
-  std::size_t max_retries = 5;  ///< FailoverPolicy::max_retries
+  std::size_t max_retries = 5;  ///< net::ReliableConfig::max_retries
   /// "core.routed.escalations" handle; incremented once per escalation hop.
   const obs::Counter* escalations = nullptr;
-
-  bool node_up(net::NodeId id) const noexcept;
-  bool link_up(net::NodeId child) const noexcept;
-  bool child_delivers(net::NodeId child) const noexcept;
-  /// Physical liveness of a query's origin (world simulation, never belief).
-  bool origin_up(net::NodeId id) const noexcept;
-  /// Loss estimate for retry accounting: observed (suspicion) when a
-  /// detector is installed, oracle otherwise.
-  double link_loss_of(net::NodeId child) const noexcept;
-  /// Any contribution missing anywhere in `id`'s subtree?
-  bool subtree_degraded(net::NodeId id) const;
 };
 
-/// Amortized bytes to gather one query hypervector at node `id` from its
-/// subtree's leaves, with m-to-1 compression on every hop.
-std::uint64_t query_gather_bytes(const RoutingContext& ctx, net::NodeId id);
+/// One routing decision for a verdict in hand.
+struct Step {
+  enum class Kind : std::uint8_t {
+    kServe,     ///< answer with the verdict in hand
+    kEscalate,  ///< ship the query to `next`
+    kCut        ///< escalation wanted to continue, but a dead hop blocks it
+  };
+  Kind kind = Kind::kServe;
+  net::NodeId next = net::kNoNode;  ///< escalation target (kEscalate only)
+};
 
-// ---- escalation hop resolution (shared by the synchronous walks below and
-// ---- the async serving plane in src/serve) --------------------------------
+/// The escalation rule. A verdict at `node` with `confidence` is served
+/// there when it clears the threshold or `node` is the root; otherwise the
+/// query walks hop by hop under ctx.liveness toward the nearest ancestor
+/// hosting a classifier — a dead uplink or node anywhere on the way cuts
+/// the walk. A root without a classifier leaves the verdict in hand standing.
+Step next_step(const RoutingContext& ctx, net::NodeId node, double confidence);
 
-/// Nearest ancestor of `current` hosting a classifier, ignoring faults (the
-/// root if none closer does; the root itself may lack one, which the caller
-/// checks with has_classifier()).
-net::NodeId classifier_ancestor(const RoutingContext& ctx, net::NodeId current);
+/// What a query served at a node costs and whether its answer is degraded.
+struct Settlement {
+  std::uint64_t bytes = 0;  ///< query-gathering bytes over delivering hops
+  /// Expected retransmission bytes beyond `bytes` on lossy hops (reliable
+  /// transport capped at ctx.max_retries retries).
+  std::uint64_t retry_bytes = 0;
+  bool degraded = false;  ///< some contribution in the subtree is missing
+};
 
-/// Hop-by-hop walk under the health mask toward the nearest reachable
-/// ancestor hosting a classifier. A dead uplink or node anywhere on the way
-/// blocks the walk and returns net::kNoNode — the caller serves degraded at
-/// `current` (or reports the query unserved under the fail-fast policy).
-/// With no degradation installed this reduces exactly to
-/// classifier_ancestor.
-net::NodeId reachable_classifier_ancestor(const RoutingContext& ctx,
-                                          net::NodeId current);
+/// Amortized cost of gathering one query hypervector at `node` from its
+/// subtree's leaves, m-to-1 compressed on every hop. Only delivering hops
+/// are charged; a hop that does not deliver marks the answer degraded.
+Settlement settle(const RoutingContext& ctx, net::NodeId node);
 
 /// Accounts one QueryEscalate envelope carrying `query` (the per-type
 /// "proto.query_escalate.*" counters). One call per escalation hop — the
@@ -95,27 +92,16 @@ void account_escalation(const hdc::BipolarHV& query, std::uint64_t query_id,
 /// no reply crosses the network.
 void account_reply(const RoutedResult& result, std::uint64_t query_id);
 
-/// Query-gather accounting over the reachable subtree only, with expected
-/// retransmission bytes on lossy links (reliable transport, retry cap
-/// max_retries).
-void gather_bytes_masked(const RoutingContext& ctx, net::NodeId id,
-                         std::uint64_t& bytes, std::uint64_t& retry_bytes);
-
-/// Fault-free escalation walk over the per-node encodings `hvs` (indexed by
-/// NodeId). Emits "core.predict"/"core.escalate" trace instants under
-/// `trace_span`. Does not record the query-level counters — the facade owns
-/// those.
+/// Synchronous escalation walk from `start` over the per-node encodings
+/// `hvs` (indexed by NodeId; unreachable contributions already silenced).
+/// The origin must be physically up (ctx.liveness.origin_up). A cut walk is
+/// served degraded at its deepest verdict, or reported unserved under the
+/// fail-fast policy. Emits "core.predict"/"core.escalate" trace instants
+/// under `trace_span`. Does not record the query-level counters — the
+/// facade owns those.
 RoutedResult route_query(const RoutingContext& ctx,
                          std::span<const hdc::BipolarHV> hvs,
                          net::NodeId start, std::uint64_t query_id,
                          std::uint64_t trace_span);
-
-/// Escalation walk under a health mask: hop-by-hop reachability checks; a
-/// dead hop strands the query at the deepest reachable classifier (served
-/// degraded) or reports it unserved under the fail-fast policy. `hvs` must
-/// be the masked encodings (unreachable contributions silenced).
-RoutedResult route_query_degraded(const RoutingContext& ctx,
-                                  std::span<const hdc::BipolarHV> hvs,
-                                  net::NodeId start, std::uint64_t query_id);
 
 }  // namespace edgehd::proto

@@ -9,34 +9,9 @@ namespace edgehd::proto {
 using hdc::AccumHV;
 using net::NodeId;
 
-bool SessionContext::node_up(NodeId id) const noexcept {
-  if (suspicion) return suspicion->node_up(id);
-  return !degraded || health->node_up(id);
-}
-
-bool SessionContext::link_up(NodeId child) const noexcept {
-  if (suspicion) return suspicion->link_up(child);
-  return !degraded || health->link_up(child);
-}
-
-bool SessionContext::origin_up(NodeId id) const noexcept {
-  return !health || health->node_up(id);
-}
-
-bool SessionContext::reachable_to_root(NodeId id) const {
-  if (suspicion) {
-    return suspicion->reachable_up(*topology, id, topology->root());
-  }
-  return !degraded || health->reachable_up(*topology, id, topology->root());
-}
-
-bool SessionContext::child_delivers(NodeId child) const noexcept {
-  return node_up(child) && link_up(child);
-}
-
 bool SessionContext::parked(NodeId id) const {
-  return degraded && id != topology->root() &&
-         (!link_up(id) || !node_up(topology->parent(id)));
+  return id != topology->root() &&
+         (!liveness.link_up(id) || !liveness.node_up(topology->parent(id)));
 }
 
 std::vector<NodeId> SessionContext::bottom_up_order() const {
@@ -137,9 +112,11 @@ void broadcast_plan(const SessionContext& ctx, const CollectivePlan& plan,
                     std::span<const NodeId> order) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId id = *it;
-    if (ctx.topology->is_leaf(id) || !ctx.origin_up(id)) continue;
+    if (ctx.topology->is_leaf(id) || !ctx.liveness.origin_up(id)) continue;
     for (NodeId kid : ctx.topology->children(id)) {
-      if (!ctx.origin_up(kid) || !ctx.child_delivers(kid)) continue;
+      if (!ctx.liveness.origin_up(kid) || !ctx.liveness.delivers(kid)) {
+        continue;
+      }
       ctx.bus->post(Envelope{kProtoVersion, id, kid, plan});
     }
   }
@@ -164,10 +141,10 @@ CommStats run_initial_training(const SessionContext& ctx,
                    order);
   }
   for (NodeId id : order) {
-    if (ctx.origin_up(id)) ctx.nodes[id].begin_initial_training();
+    if (ctx.liveness.origin_up(id)) ctx.nodes[id].begin_initial_training();
   }
   for (NodeId id : order) {
-    if (!ctx.origin_up(id)) continue;
+    if (!ctx.liveness.origin_up(id)) continue;
     const auto& accums = ctx.nodes[id].finish_initial_training(
         leaf_samples(ctx, data, id), data.labels);
     if (ctx.parked(id)) {
@@ -242,10 +219,12 @@ CommStats run_batch_retraining(const SessionContext& ctx,
         order);
   }
   for (NodeId id : order) {
-    if (ctx.origin_up(id)) ctx.nodes[id].begin_batch_retraining(batches);
+    if (ctx.liveness.origin_up(id)) {
+      ctx.nodes[id].begin_batch_retraining(batches);
+    }
   }
   for (NodeId id : order) {
-    if (!ctx.origin_up(id)) continue;
+    if (!ctx.liveness.origin_up(id)) continue;
     const auto& nb = ctx.nodes[id].finish_batch_retraining(
         leaf_samples(ctx, data, id), data.labels);
     if (ctx.parked(id)) {
@@ -288,10 +267,10 @@ CommStats run_residual_propagation(const SessionContext& ctx) {
   for (NodeId id : order) {
     // A crashed node neither applies nor ships anything; its own residuals
     // stay queued inside its classifier until a later round finds it up.
-    if (ctx.origin_up(id)) ctx.nodes[id].begin_residual_propagation();
+    if (ctx.liveness.origin_up(id)) ctx.nodes[id].begin_residual_propagation();
   }
   for (NodeId id : order) {
-    if (!ctx.origin_up(id)) continue;
+    if (!ctx.liveness.origin_up(id)) continue;
     std::vector<AccumHV> ship = ctx.nodes[id].finish_residual_propagation();
     // What ships upward: this round's bundle plus anything held back by an
     // earlier round whose uplink was down.
@@ -326,7 +305,7 @@ CommStats run_reintegration(const SessionContext& ctx) {
     auto& parked_contrib = (*ctx.pending_contrib)[id];
     if (parked_contrib.empty()) continue;
     // Still cut off? The contribution stays pending for a later call.
-    if (!ctx.reachable_to_root(id)) continue;
+    if (!ctx.liveness.reachable_to_root(*ctx.topology, id)) continue;
     std::vector<AccumHV> cur = std::move(parked_contrib);
     parked_contrib.clear();
     NodeId child = id;
@@ -356,7 +335,10 @@ CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
     throw std::invalid_argument("run_rejoin: the root cannot rejoin");
   }
   // Still believed down, or the path to the root is? Try again later.
-  if (!ctx.node_up(rejoined) || !ctx.reachable_to_root(rejoined)) return comm;
+  if (!ctx.liveness.node_up(rejoined) ||
+      !ctx.liveness.reachable_to_root(*ctx.topology, rejoined)) {
+    return comm;
+  }
 
   // 1. Announce the new generation to every ancestor, so the StateSync
   //    envelopes below pass their incarnation checks.
@@ -383,7 +365,7 @@ CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
   std::vector<NodeId> synced_kids;
   if (!ctx.topology->is_leaf(rejoined)) {
     for (NodeId kid : ctx.topology->children(rejoined)) {
-      if (!ctx.child_delivers(kid)) continue;
+      if (!ctx.liveness.delivers(kid)) continue;
       const auto state = ctx.nodes[kid].checkpoint_state();
       if (state.empty()) continue;  // child never trained — nothing to sync
       for (std::size_t c = 0; c < state.size(); ++c) {
@@ -409,7 +391,7 @@ CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
     NodeRuntime& prt = ctx.nodes[hop];
     prt.begin_initial_training();
     for (NodeId kid : ctx.topology->children(hop)) {
-      if (!ctx.child_delivers(kid)) continue;
+      if (!ctx.liveness.delivers(kid)) continue;
       const auto state = ctx.nodes[kid].checkpoint_state();
       if (state.empty()) continue;  // child never trained — nothing to sync
       for (std::size_t c = 0; c < state.size(); ++c) {
@@ -444,7 +426,7 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
   const NodeId root = ctx.topology->root();
   const auto order = ctx.bottom_up_order();
   for (NodeId id : order) {
-    if (ctx.origin_up(id)) ctx.nodes[id].begin_dimension_regen(round);
+    if (ctx.liveness.origin_up(id)) ctx.nodes[id].begin_dimension_regen(round);
   }
 
   const bool central_scored =
@@ -457,7 +439,7 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
     // dimension, so the root scores its model globally and the requests
     // flow top-down along delivering links (a cut-off subtree receives no
     // request and therefore produces no delta — consistent by omission).
-    if (ctx.origin_up(root)) {
+    if (ctx.liveness.origin_up(root)) {
       const auto state = ctx.nodes[root].checkpoint_state();
       if (!state.empty()) {
         ctx.nodes[root].set_regen_request(hdc::worst_dimensions(state, k));
@@ -465,7 +447,7 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
     }
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const NodeId id = *it;
-      if (ctx.topology->is_leaf(id) || !ctx.origin_up(id)) continue;
+      if (ctx.topology->is_leaf(id) || !ctx.liveness.origin_up(id)) continue;
       const auto& req = ctx.nodes[id].regen_request();
       if (req.empty()) continue;
       // Split the node's own ascending request across its children: dim d
@@ -484,7 +466,10 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
       }
       for (std::size_t c = 0; c < kids.size(); ++c) {
         if (per_child[c].empty()) continue;
-        if (!ctx.origin_up(kids[c]) || !ctx.child_delivers(kids[c])) continue;
+        if (!ctx.liveness.origin_up(kids[c]) ||
+            !ctx.liveness.delivers(kids[c])) {
+          continue;
+        }
         ctx.bus->post(Envelope{
             kProtoVersion, id, kids[c],
             DimensionPatch{round, std::move(per_child[c]), {}, {}}});
@@ -497,8 +482,10 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
     // a live path to the root so a patched leaf never diverges from the
     // ancestors that could not hear its delta.
     for (NodeId id : order) {
-      if (!ctx.topology->is_leaf(id) || !ctx.origin_up(id)) continue;
-      if (id != root && !ctx.reachable_to_root(id)) continue;
+      if (!ctx.topology->is_leaf(id) || !ctx.liveness.origin_up(id)) continue;
+      if (id != root && !ctx.liveness.reachable_to_root(*ctx.topology, id)) {
+        continue;
+      }
       const auto state = ctx.nodes[id].checkpoint_state();
       if (state.empty()) continue;
       ctx.nodes[id].set_regen_request(hdc::worst_dimensions(state, k));
@@ -509,7 +496,7 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
   // every node applies its delta in place and ships the k-column patch one
   // hop up — never a full ModelUpdate.
   for (NodeId id : order) {
-    if (!ctx.origin_up(id)) continue;
+    if (!ctx.liveness.origin_up(id)) continue;
     NodeRuntime& node = ctx.nodes[id];
     DimensionPatch patch =
         ctx.topology->is_leaf(id)

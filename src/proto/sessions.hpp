@@ -24,28 +24,23 @@
 
 #include "bus.hpp"
 #include "collective.hpp"
-#include "net/detector.hpp"
-#include "net/fault.hpp"
+#include "net/liveness.hpp"
 #include "net/topology.hpp"
 #include "node_runtime.hpp"
 #include "types.hpp"
 
 namespace edgehd::proto {
 
-/// Everything a protocol session needs: the hierarchy, the bus, the health
-/// snapshot, and the cross-phase state (parked contributions/residuals and
+/// Everything a protocol session needs: the hierarchy, the bus, the liveness
+/// view, and the cross-phase state (parked contributions/residuals and
 /// the straggler list) owned by the facade.
 struct SessionContext {
   const net::Topology* topology = nullptr;
   std::span<NodeRuntime> nodes;  ///< indexed by NodeId
   Bus* bus = nullptr;
-  /// The simulated physical world (oracle). With `suspicion` installed this
-  /// is no longer consulted for decisions.
-  const net::HealthMask* health = nullptr;  ///< may be empty
-  /// Earned beliefs from the failure detector; when set, every liveness and
-  /// reachability decision below uses this instead of the oracle mask.
-  const net::SuspicionView* suspicion = nullptr;
-  bool degraded = false;  ///< health installed and not all-healthy
+  /// Who is up: the detector's beliefs decide delivery and reachability,
+  /// the world alone gates local computation (net::Liveness::origin_up).
+  net::Liveness liveness;
   std::size_t num_classes = 0;
   std::size_t batch_size = 1;  ///< B, retraining batch size
 
@@ -64,17 +59,6 @@ struct SessionContext {
   /// are identical — only the frame format changes.
   const CollectiveConfig* collective = nullptr;
 
-  bool node_up(net::NodeId id) const noexcept;
-  bool link_up(net::NodeId child) const noexcept;
-  /// Physically alive (world simulation, never beliefs): local computation —
-  /// bundling, aggregation, perceptron updates — happens on the node itself,
-  /// so only the simulated world can gate it. A node everyone *believes*
-  /// dead still trains on its local data; it just cannot deliver. Identical
-  /// to node_up() on the oracle path.
-  bool origin_up(net::NodeId id) const noexcept;
-  bool child_delivers(net::NodeId child) const noexcept;
-  /// Every hop from `id` to the root believed up.
-  bool reachable_to_root(net::NodeId id) const;
   /// A live node cut off from its parent parks this round's shipment.
   bool parked(net::NodeId id) const;
   /// Bottom-up node order (leaves first).

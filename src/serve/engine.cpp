@@ -84,19 +84,12 @@ void Engine::refresh_mask(SimTime t) {
   } else {
     mask_ = net::HealthMask{};
   }
-  b_.ctx.health = &mask_;
-  if (detector_) {
-    detector_->advance(t);
-    b_.ctx.suspicion = &detector_->view();
-    // Degraded routing engages on either physical unhealth (masked encode
-    // paths must silence dead contributions) or earned suspicion (the
-    // reachability walk must consult beliefs).
-    b_.ctx.degraded = (!mask_.empty() && !mask_.all_healthy()) ||
-                      !detector_->view().all_healthy();
-  } else {
-    b_.ctx.suspicion = nullptr;
-    b_.ctx.degraded = !mask_.empty() && !mask_.all_healthy();
-  }
+  if (detector_) detector_->advance(t);
+  // The liveness caches its all-healthy verdict here: a failure a query
+  // reports to the detector within an all-healthy instant steers routing
+  // from the next instant on.
+  b_.ctx.liveness =
+      net::Liveness(&mask_, detector_ ? &detector_->view() : nullptr);
 }
 
 void Engine::schedule(SimTime t, Ev::Kind kind, NodeId node, std::uint64_t a,
@@ -145,7 +138,7 @@ void Engine::on_arrival(const Ev& ev) {
   refresh_mask(ev.t);
   ++report_.submitted;
   m_submitted_.inc();
-  if (!b_.ctx.origin_up(ev.node)) {
+  if (!b_.ctx.liveness.origin_up(ev.node)) {
     // The origin itself is down: nobody can pose the question. Counted as a
     // routed query that went unserved, exactly like the synchronous walk.
     b_.routed_queries.inc();
@@ -207,7 +200,7 @@ void Engine::maybe_flush(NodeId node, SimTime now) {
 void Engine::on_deadline(const Ev& ev) {
   if (ev.a != nodes_[ev.node].deadline_epoch) return;  // stale timer
   refresh_mask(ev.t);
-  if (!b_.ctx.origin_up(ev.node)) {
+  if (!b_.ctx.liveness.origin_up(ev.node)) {
     fail_node_queue(ev.node, ev.t);
     return;
   }
@@ -224,21 +217,11 @@ void Engine::fail_node_queue(NodeId node, SimTime now) {
     // later routing decisions stop steering queries at this node.
     detector_->report_failure(b_.ctx.topology->parent(node), node, now);
   }
-  while (!ns.queue.empty()) {
-    const std::uint64_t slot = ns.queue.pop_front().slot;
-    if (slots_[slot].best.node != net::kNoNode && b_.ctx.serve_degraded) {
-      finalize_served(slot, now, /*cut=*/true);
-    } else {
-      finalize_unserved(slot, now);
-    }
-  }
+  while (!ns.queue.empty()) finalize_cut(ns.queue.pop_front().slot, now);
 }
 
-void Engine::ensure_hvs(QueryState& q, SimTime now) {
-  (void)now;  // the mask governing `now` is already installed in b_.ctx
-  if (!q.hvs.empty()) return;
-  q.hvs = b_.ctx.degraded ? b_.encode_all_masked(q.sample, mask_)
-                          : b_.encode_all(q.sample);
+void Engine::ensure_hvs(QueryState& q) {
+  if (q.hvs.empty()) q.hvs = b_.encode_all(q.sample, mask_);
 }
 
 void Engine::on_service_done(const Ev& ev) {
@@ -247,19 +230,11 @@ void Engine::on_service_done(const Ev& ev) {
   const std::vector<std::uint64_t> batch = ns.in_service;
   ns.in_service.clear();
   ns.busy = false;
-  if (!b_.ctx.origin_up(ev.node)) {
+  if (!b_.ctx.liveness.origin_up(ev.node)) {
     // The serving node crashed while the batch was in flight. Queries that
     // already hold a verdict from a deeper node fall back to it; the rest
     // are lost.
-    for (const std::uint64_t slot : batch) {
-      if (slots_[slot].best.node == net::kNoNode) {
-        finalize_unserved(slot, ev.t);
-      } else if (b_.ctx.serve_degraded) {
-        finalize_served(slot, ev.t, /*cut=*/true);
-      } else {
-        finalize_unserved(slot, ev.t);
-      }
-    }
+    for (const std::uint64_t slot : batch) finalize_cut(slot, ev.t);
     fail_node_queue(ev.node, ev.t);
     return;
   }
@@ -286,7 +261,7 @@ void Engine::on_service_done(const Ev& ev) {
   } else {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       QueryState& q = slots_[batch[i]];
-      ensure_hvs(q, ev.t);
+      ensure_hvs(q);
       queries[i] = q.hvs[ev.node];
     }
   }
@@ -305,34 +280,18 @@ void Engine::on_service_done(const Ev& ev) {
 
 void Engine::decide(std::uint64_t slot, SimTime now) {
   QueryState& q = slots_[slot];
-  const proto::RoutingContext& ctx = b_.ctx;
-  const NodeId current = q.best.node;
-  const bool confident = q.best.confidence >= ctx.confidence_threshold;
-  if (confident || current == ctx.topology->root()) {
+  const proto::Step step =
+      proto::next_step(b_.ctx, q.best.node, q.best.confidence);
+  if (step.kind == proto::Step::Kind::kServe) {
     finalize_served(slot, now, /*cut=*/false);
     return;
   }
-  NodeId next;
-  if (ctx.degraded) {
-    next = proto::reachable_classifier_ancestor(ctx, current);
-    if (next == net::kNoNode) {
-      // Escalation wanted to continue but a dead hop blocks the way. In
-      // detector mode the block is a belief that may yet be refuted (a
-      // probe round, an outage closing), so spend the failover budget
-      // before settling for the local verdict.
-      if (detector_ && try_failover(slot, now)) return;
-      if (ctx.serve_degraded) {
-        finalize_served(slot, now, /*cut=*/true);
-      } else {
-        finalize_unserved(slot, now);
-      }
-      return;
-    }
-  } else {
-    next = proto::classifier_ancestor(ctx, current);
-  }
-  if (!ctx.nodes[next].has_classifier()) {
-    finalize_served(slot, now, /*cut=*/false);
+  if (step.kind == proto::Step::Kind::kCut) {
+    // In detector mode the block is a belief that may yet be refuted (a
+    // probe round, an outage closing), so spend the failover budget before
+    // settling for the local verdict.
+    if (detector_ && try_failover(slot, now)) return;
+    finalize_cut(slot, now);
     return;
   }
   if (q.failovers > 0 && !q.rerouted) {
@@ -345,11 +304,12 @@ void Engine::decide(std::uint64_t slot, SimTime now) {
   // Async escalation session: charge the QueryEscalate envelope now, ship
   // the query one virtual hop up, and return — the local queue keeps
   // draining while this query is in flight.
-  ensure_hvs(q, now);
-  ctx.escalations->inc();
-  proto::account_escalation(q.hvs[next], q.query_id, ++q.hops);
+  ensure_hvs(q);
+  b_.ctx.escalations->inc();
+  proto::account_escalation(q.hvs[step.next], q.query_id, ++q.hops);
   ++report_.escalation_hops;
-  schedule(now + cfg_.escalate_latency, Ev::Kind::kEscalateArrive, next, slot);
+  schedule(now + cfg_.escalate_latency, Ev::Kind::kEscalateArrive, step.next,
+           slot);
 }
 
 bool Engine::try_failover(std::uint64_t slot, SimTime now) {
@@ -370,7 +330,7 @@ bool Engine::try_failover(std::uint64_t slot, SimTime now) {
 void Engine::on_failover_retry(const Ev& ev) {
   refresh_mask(ev.t);
   const std::uint64_t slot = ev.a;
-  if (!b_.ctx.origin_up(ev.node)) {
+  if (!b_.ctx.liveness.origin_up(ev.node)) {
     // The node holding the deepest verdict died while the query waited out
     // its backoff: nothing is left to answer from.
     finalize_unserved(slot, ev.t);
@@ -385,7 +345,7 @@ void Engine::on_failover_retry(const Ev& ev) {
 void Engine::on_escalate_arrive(const Ev& ev) {
   refresh_mask(ev.t);
   const std::uint64_t slot = ev.a;
-  if (!b_.ctx.origin_up(ev.node)) {
+  if (!b_.ctx.liveness.origin_up(ev.node)) {
     // Destination died while the query was in flight — same outcome as a
     // blocked walk, except in detector mode the sender learns from the
     // failed session and may retry within the failover budget.
@@ -393,11 +353,7 @@ void Engine::on_escalate_arrive(const Ev& ev) {
       detector_->report_failure(slots_[slot].best.node, ev.node, ev.t);
       if (try_failover(slot, ev.t)) return;
     }
-    if (b_.ctx.serve_degraded) {
-      finalize_served(slot, ev.t, /*cut=*/true);
-    } else {
-      finalize_unserved(slot, ev.t);
-    }
+    finalize_cut(slot, ev.t);
     return;
   }
   NodeState& ns = nodes_[ev.node];
@@ -417,17 +373,10 @@ void Engine::on_escalate_arrive(const Ev& ev) {
 void Engine::finalize_served(std::uint64_t slot, SimTime now, bool cut) {
   QueryState& q = slots_[slot];
   proto::RoutedResult result = q.best;
-  result.bytes = 0;
-  result.retry_bytes = 0;
-  const proto::RoutingContext& ctx = b_.ctx;
-  if (ctx.degraded) {
-    result.degraded = cut || ctx.subtree_degraded(result.node);
-    proto::gather_bytes_masked(ctx, result.node, result.bytes,
-                               result.retry_bytes);
-  } else {
-    result.degraded = cut;
-    result.bytes = proto::query_gather_bytes(ctx, result.node);
-  }
+  const proto::Settlement s = proto::settle(b_.ctx, result.node);
+  result.bytes = s.bytes;
+  result.retry_bytes = s.retry_bytes;
+  result.degraded = cut || s.degraded;
   proto::account_reply(result, q.query_id);
   b_.routed_queries.inc();
   if (result.degraded) {
@@ -459,6 +408,14 @@ void Engine::finalize_served(std::uint64_t slot, SimTime now, bool cut) {
   if (q.client != kNoClient) client_submit(q.client, completed + think_);
   release_slot(slot);
   --in_flight_;
+}
+
+void Engine::finalize_cut(std::uint64_t slot, SimTime now) {
+  if (slots_[slot].best.node != net::kNoNode && b_.ctx.serve_degraded) {
+    finalize_served(slot, now, /*cut=*/true);
+  } else {
+    finalize_unserved(slot, now);
+  }
 }
 
 void Engine::finalize_unserved(std::uint64_t slot, SimTime now) {

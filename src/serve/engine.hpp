@@ -15,12 +15,14 @@
 // the reply sequence, every counter and every virtual-latency quantile are
 // identical across runs and worker counts.
 //
-// Accounting matches the synchronous walks byte-for-byte: a served query is
-// charged query_gather_bytes (gather_bytes_masked under a health mask), each
-// escalation hop one QueryEscalate envelope and each served reply one
-// QueryReply envelope — the engine calls the same proto::account_* helpers
-// route_query uses. Queries shed at admission never enter the routed
-// accounting (they were refused service, not served badly).
+// Routing matches the synchronous walk decision for decision: every verdict
+// goes through proto::next_step, the same escalation rule route_query runs,
+// under a net::Liveness rebuilt per virtual instant. Accounting matches it
+// byte-for-byte: a served query is charged proto::settle, each escalation
+// hop one QueryEscalate envelope and each served reply one QueryReply
+// envelope — the engine calls the same proto::account_* helpers route_query
+// uses. Queries shed at admission never enter the routed accounting (they
+// were refused service, not served badly).
 #pragma once
 
 #include <cstdint>
@@ -48,8 +50,8 @@ namespace edgehd::serve {
 /// (core::EdgeHdSystem::serve_start) fills this in; tests can wire it by
 /// hand. All referenced objects must outlive the engine.
 struct Bindings {
-  /// Routing view of the hierarchy. The engine overrides `health` and
-  /// `degraded` per virtual time from its fault plan; everything else
+  /// Routing view of the hierarchy. The engine replaces `liveness` per
+  /// virtual time from its fault plan (and detector); everything else
   /// (threshold, compression, failover policy, escalation counter) is used
   /// as given.
   proto::RoutingContext ctx;
@@ -72,14 +74,13 @@ struct Bindings {
   std::function<std::vector<hdc::BipolarHV>(
       net::NodeId leaf, std::span<const std::uint64_t> samples)>
       encode_leaf_batch;
-  /// Full-hierarchy encoding of one sample (indexed by NodeId) — computed
-  /// lazily when a query first escalates, then cached on the query.
-  std::function<std::vector<hdc::BipolarHV>(std::uint64_t sample)> encode_all;
-  /// Like encode_all under a health mask (unreachable contributions
-  /// silenced).
+  /// Full-hierarchy encoding of one sample (indexed by NodeId) under the
+  /// `world` mask (unreachable contributions silenced; an empty mask
+  /// silences nothing) — computed lazily when a query first escalates, then
+  /// cached on the query.
   std::function<std::vector<hdc::BipolarHV>(std::uint64_t sample,
-                                            const net::HealthMask&)>
-      encode_all_masked;
+                                            const net::HealthMask& world)>
+      encode_all;
 
   /// Routed-inference counters owned by the facade ("core.routed.*"); the
   /// engine advances the same handles the synchronous path advances, so
@@ -237,8 +238,12 @@ class Engine {
   /// Routes one predicted query onward: finalize here or escalate.
   void decide(std::uint64_t slot, net::SimTime now);
   /// Ensures the query's full-hierarchy encodings are cached.
-  void ensure_hvs(QueryState& q, net::SimTime now);
+  void ensure_hvs(QueryState& q);
   void finalize_served(std::uint64_t slot, net::SimTime now, bool cut);
+  /// Settles a query whose escalation faults cut short: served degraded from
+  /// its deepest verdict when it holds one and the policy allows, unserved
+  /// otherwise.
+  void finalize_cut(std::uint64_t slot, net::SimTime now);
   /// Fails over everything queued at a node observed down: queries with a
   /// deeper verdict serve degraded from it, the rest go unserved.
   void fail_node_queue(net::NodeId node, net::SimTime now);
@@ -263,7 +268,6 @@ class Engine {
   /// ServeReports are bit-identical to the priority_queue implementation.
   net::CalendarQueue<Ev> events_;
   std::uint64_t next_seq_ = 0;
-  std::vector<Ev> scripted_;
 
   std::vector<NodeState> nodes_;
   std::vector<QueryState> slots_;

@@ -294,6 +294,47 @@ TEST(Serve, GatewayOutageWindowDegradesThenRecovers) {
   }
 }
 
+TEST(Serve, StaticFaultServingMatchesSyncRoutedInference) {
+  // Under a fault plan that never changes, the async serving plane and the
+  // synchronous walk run the same escalation rule over the same liveness:
+  // every reply must equal infer_routed for its (sample, origin), down to
+  // the degraded flag and the retry bytes.
+  World w = make_world(2, /*threshold=*/0.7);
+  const auto& topo = w.sys->topology();
+  const auto leaves = topo.leaves();
+  const NodeId gateway = topo.parent(leaves.front());
+
+  std::vector<net::FaultPlan> plans(3, net::FaultPlan(37));
+  plans[0].crash(gateway);
+  plans[1].outage(leaves.back()).outage(gateway);
+  for (const NodeId leaf : leaves) plans[2].loss(leaf, 0.25);
+
+  for (const net::FaultPlan& plan : plans) {
+    const auto report = w.sys->serve_run(
+        deep_queues(),
+        serve::LoadSpec::poisson({leaves.begin(), leaves.end()}, 4000.0, 400,
+                                 3),
+        plan);
+    ASSERT_EQ(report.replies.size(), report.served + report.unserved);
+    w.sys->set_fault_plan(plan);
+    std::size_t affected = 0;
+    for (const serve::Reply& r : report.replies) {
+      const core::RoutedResult s =
+          w.sys->infer_routed(w.ds.test_x[r.sample], r.origin);
+      EXPECT_EQ(r.result.label, s.label);
+      EXPECT_EQ(r.result.node, s.node);
+      EXPECT_EQ(r.result.level, s.level);
+      EXPECT_EQ(r.result.confidence, s.confidence);
+      EXPECT_EQ(r.result.bytes, s.bytes);
+      EXPECT_EQ(r.result.retry_bytes, s.retry_bytes);
+      EXPECT_EQ(r.result.degraded, s.degraded);
+      if (s.degraded || s.retry_bytes > 0) ++affected;
+    }
+    w.sys->clear_health();
+    EXPECT_GT(affected, 0u) << "the plan changed no reply";
+  }
+}
+
 TEST(Serve, FaultedRunIsDeterministicAcrossWorkerCounts) {
   std::vector<serve::ServeReport> reports;
   for (const std::size_t threads : {1u, 2u, 8u}) {
