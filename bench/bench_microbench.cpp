@@ -208,6 +208,67 @@ void BM_TrainBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
+// ---- perceptron retraining at the leaf shapes ------------------------------
+//
+// One serial retrain_epoch over 600 samples at the bench_e2e leaf shapes:
+// D = 77, k = 3 (a PECAN house) and D = 1333, k = 5 (a PAMAP2 body part).
+// Every iteration retrains a copy of the same bundled model, so each runs the
+// same scan and the same updates (reported as updates/epoch). BM_BuildPlanes
+// times one full bit-plane rebuild of a class at the same shapes, for
+// contrast with the in-place update (kernels::planes_add) a mistake costs.
+
+constexpr std::size_t kRetrainSamples = 600;
+
+struct RetrainSet {
+  std::vector<hdc::BipolarHV> hvs;
+  std::vector<std::size_t> labels;
+  hdc::HDClassifier bundled;
+
+  RetrainSet(std::size_t dim, std::size_t k) : bundled(k, dim) {
+    hdc::Rng rng(16);
+    std::vector<hdc::BipolarHV> prototypes(k);
+    for (auto& p : prototypes) p = rng.sign_vector(dim);
+    for (std::size_t i = 0; i < kRetrainSamples; ++i) {
+      auto hv = prototypes[i % k];
+      for (auto& v : hv) {
+        if (rng.bernoulli(0.4)) v = static_cast<std::int8_t>(-v);
+      }
+      hvs.push_back(std::move(hv));
+      // Every fourth sample carries the next cluster's label, so the set is
+      // not separable and every epoch makes updates, as on the real leaves.
+      labels.push_back(i % 4 == 1 ? (i + 1) % k : i % k);
+      bundled.add_sample(labels.back(), hvs.back());
+    }
+  }
+};
+
+void BM_RetrainEpoch(benchmark::State& state) {
+  const RetrainSet set(static_cast<std::size_t>(state.range(0)),
+                       static_cast<std::size_t>(state.range(1)));
+  std::size_t updates = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    hdc::HDClassifier clf = set.bundled;
+    state.ResumeTiming();
+    updates = clf.retrain_epoch(set.hvs, set.labels);
+    benchmark::DoNotOptimize(clf.class_accumulator(0).data());
+  }
+  state.counters["updates/epoch"] = static_cast<double>(updates);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRetrainSamples));
+}
+BENCHMARK(BM_RetrainEpoch)->Args({77, 3})->Args({1333, 5});
+
+void BM_BuildPlanes(benchmark::State& state) {
+  const RetrainSet set(static_cast<std::size_t>(state.range(0)),
+                       static_cast<std::size_t>(state.range(1)));
+  const auto& acc = set.bundled.class_accumulator(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hdc::kernels::build_planes(acc));
+  }
+}
+BENCHMARK(BM_BuildPlanes)->Args({77, 3})->Args({1333, 5});
+
 // ---- event engine: schedule→dispatch micro-loops ---------------------------
 //
 // Each iteration schedules a burst of events and drains it, so the measured

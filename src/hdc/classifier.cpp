@@ -87,13 +87,27 @@ void HDClassifier::invalidate_cache() noexcept {
   std::fill(cache_valid_.begin(), cache_valid_.end(), std::uint8_t{0});
 }
 
+void HDClassifier::refresh_denom(std::size_t c) const {
+  // Same denominator the historical per-query cosine computed: na * nb with
+  // na = sqrt(dim), nb = ||class||. Recomputed with norm()'s index-ordered
+  // double accumulation after every mutation — an incremental sum of squares
+  // would not be bit-identical to a cold rebuild.
+  denoms_[c] = std::sqrt(static_cast<double>(dim_)) * norm(classes_[c]);
+}
+
 void HDClassifier::ensure_cache(std::size_t c) const {
   if (cache_valid_[c] != 0) return;
   packed_classes_[c] = kernels::build_planes(classes_[c]);
-  // Same denominator the historical per-query cosine computed: na * nb with
-  // na = sqrt(dim), nb = ||class||. Cached once per model mutation.
-  denoms_[c] = std::sqrt(static_cast<double>(dim_)) * norm(classes_[c]);
+  refresh_denom(c);
   cache_valid_[c] = 1;
+}
+
+void HDClassifier::update_cache(std::size_t label,
+                                std::span<const std::uint64_t> pos,
+                                std::span<const std::uint64_t> neg, int sign) {
+  assert(cache_valid_[label] != 0);
+  kernels::planes_add(packed_classes_[label], pos, neg, sign);
+  refresh_denom(label);
 }
 
 void HDClassifier::warm_cache() const {
@@ -104,7 +118,10 @@ void HDClassifier::add_sample(std::size_t label,
                               std::span<const std::int8_t> hv) {
   check_label(label);
   bundle_into(classes_[label], hv);
-  invalidate_cache(label);
+  if (cache_valid_[label] != 0) {
+    const auto q = kernels::pack_query(hv);
+    update_cache(label, q.pos, q.neg, 1);
+  }
 }
 
 void HDClassifier::add_accumulator(std::size_t label,
@@ -147,102 +164,88 @@ void HDClassifier::train_batch(std::span<const BipolarHV> hvs,
   invalidate_cache();
 }
 
-std::size_t HDClassifier::retrain_epoch(std::span<const BipolarHV> hvs,
-                                        std::span<const std::size_t> labels) {
-  assert(hvs.size() == labels.size());
-  ClassifierObs::get().retrain_epochs.inc();
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < hvs.size(); ++i) {
-    const auto sims = similarities(hvs[i]);
-    const auto best = static_cast<std::size_t>(
-        std::max_element(sims.begin(), sims.end()) - sims.begin());
-    if (best != labels[i]) {
-      ++errors;
-      bundle_into(classes_[labels[i]], hvs[i]);
-      unbundle_from(classes_[best], hvs[i]);
-      invalidate_cache(labels[i]);
-      invalidate_cache(best);
-    }
-  }
-  ClassifierObs::get().retrain_updates.inc(errors);
-  return errors;
-}
-
-std::size_t HDClassifier::retrain(std::span<const BipolarHV> hvs,
-                                  std::span<const std::size_t> labels) {
-  std::size_t errors = 0;
-  for (std::size_t e = 0; e < config_.retrain_epochs; ++e) {
-    errors = retrain_epoch(hvs, labels);
-    if (errors == 0) break;
-  }
-  return errors;
-}
-
-std::size_t HDClassifier::retrain_epoch_packed(
-    std::span<const kernels::PackedQuery> packed,
-    std::span<const BipolarHV> hvs, std::span<const std::size_t> labels,
-    runtime::ThreadPool& pool) {
-  // Scan against the epoch-start model snapshot in parallel (cache warmed
-  // up front so workers only read it)…
-  ClassifierObs::get().retrain_epochs.inc();
-  warm_cache();
-  std::vector<std::size_t> predicted(packed.size());
-  runtime::parallel_for(pool, packed.size(), [&](std::size_t i) {
-    predicted[i] = argmax(similarities(packed[i]));
-  });
-  // …then apply perceptron updates serially, in ascending sample order.
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < packed.size(); ++i) {
-    if (predicted[i] != labels[i]) {
-      ++errors;
-      bundle_into(classes_[labels[i]], hvs[i]);
-      unbundle_from(classes_[predicted[i]], hvs[i]);
-      invalidate_cache(labels[i]);
-      invalidate_cache(predicted[i]);
-    }
-  }
-  ClassifierObs::get().retrain_updates.inc(errors);
-  return errors;
-}
-
 namespace {
 
-/// Packs every query once, fanned over the pool (disjoint slots).
-std::vector<kernels::PackedQuery> pack_queries(std::span<const BipolarHV> hvs,
-                                               runtime::ThreadPool& pool) {
-  std::vector<kernels::PackedQuery> packed(hvs.size());
-  runtime::parallel_for(pool, hvs.size(), [&](std::size_t i) {
-    packed[i] = kernels::pack_query(hvs[i]);
-  });
+/// Retraining samples packed once into two flat mask arrays: sample i's
+/// pos / neg masks are words [i * words, (i + 1) * words).
+struct PackedSamples {
+  std::size_t words = 0;
+  std::vector<std::uint64_t> pos;
+  std::vector<std::uint64_t> neg;
+};
+
+PackedSamples pack_samples(std::span<const BipolarHV> hvs, std::size_t dim) {
+  PackedSamples packed;
+  packed.words = kernels::packed_words(dim);
+  packed.pos.assign(hvs.size() * packed.words, 0);
+  packed.neg.assign(hvs.size() * packed.words, 0);
+  for (std::size_t i = 0; i < hvs.size(); ++i) {
+    if (hvs[i].size() != dim) {
+      throw std::invalid_argument("HDClassifier: sample dimension mismatch");
+    }
+    kernels::active().pack_signs(hvs[i].data(), dim,
+                                 packed.pos.data() + i * packed.words,
+                                 packed.neg.data() + i * packed.words);
+  }
   return packed;
 }
 
 }  // namespace
 
-std::size_t HDClassifier::retrain_epoch(std::span<const BipolarHV> hvs,
-                                        std::span<const std::size_t> labels,
-                                        runtime::ThreadPool& pool) {
+std::size_t HDClassifier::retrain_passes(std::span<const BipolarHV> hvs,
+                                         std::span<const std::size_t> labels,
+                                         std::size_t max_passes) {
   assert(hvs.size() == labels.size());
-  return retrain_epoch_packed(pack_queries(hvs, pool), hvs, labels, pool);
-}
-
-std::size_t HDClassifier::retrain(std::span<const BipolarHV> hvs,
-                                  std::span<const std::size_t> labels,
-                                  runtime::ThreadPool& pool) {
-  // Queries are scanned every epoch but never change: pack once up front.
-  const auto packed = pack_queries(hvs, pool);
+  // Samples are scanned every epoch but never change: pack once up front.
+  const PackedSamples packed = pack_samples(hvs, dim_);
+  const std::span<const std::uint64_t> all_pos(packed.pos);
+  const std::span<const std::uint64_t> all_neg(packed.neg);
+  std::vector<double> sims(classes_.size());
+  // Updates keep the cache warm, so every scan below reads it as is.
+  warm_cache();
   std::size_t errors = 0;
-  for (std::size_t e = 0; e < config_.retrain_epochs; ++e) {
-    errors = retrain_epoch_packed(packed, hvs, labels, pool);
+  for (std::size_t e = 0; e < max_passes; ++e) {
+    ClassifierObs::get().retrain_epochs.inc();
+    errors = 0;
+    for (std::size_t i = 0; i < hvs.size(); ++i) {
+      const auto pos = all_pos.subspan(i * packed.words, packed.words);
+      const auto neg = all_neg.subspan(i * packed.words, packed.words);
+      similarities_into(pos, neg, sims);
+      const std::size_t best = argmax(sims);
+      if (best != labels[i]) {
+        ++errors;
+        bundle_into(classes_[labels[i]], hvs[i]);
+        unbundle_from(classes_[best], hvs[i]);
+        update_cache(labels[i], pos, neg, 1);
+        update_cache(best, pos, neg, -1);
+      }
+    }
+    ClassifierObs::get().retrain_updates.inc(errors);
     if (errors == 0) break;
   }
+  // In-place updates only ever add planes, and a component that peaked and
+  // fell back leaves its extra planes behind; rebuild once here so inference
+  // scans no more planes than a fresh decomposition has.
+  invalidate_cache();
   return errors;
 }
 
-std::vector<double> HDClassifier::similarities(
-    const kernels::PackedQuery& query) const {
-  assert(query.dim == dim_);
-  std::vector<double> sims(classes_.size());
+std::size_t HDClassifier::retrain_epoch(std::span<const BipolarHV> hvs,
+                                        std::span<const std::size_t> labels) {
+  return retrain_passes(hvs, labels, 1);
+}
+
+std::size_t HDClassifier::retrain(std::span<const BipolarHV> hvs,
+                                  std::span<const std::size_t> labels) {
+  return retrain_passes(hvs, labels, config_.retrain_epochs);
+}
+
+void HDClassifier::similarities_into(std::span<const std::uint64_t> pos,
+                                     std::span<const std::uint64_t> neg,
+                                     std::span<double> sims) const {
+  assert(sims.size() == classes_.size());
+  const std::size_t words = kernels::packed_words(dim_);
+  assert(pos.size() == words && neg.size() == words);
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     ensure_cache(c);
     if (denoms_[c] == 0.0) {
@@ -252,9 +255,20 @@ std::vector<double> HDClassifier::similarities(
     // Exact integer numerator (bit-plane popcount dot); double conversion
     // is exact while dim * max|class| < 2^53, so this equals the historical
     // element-wise double accumulation bit-for-bit.
-    const std::int64_t d = kernels::planes_dot(query, packed_classes_[c]);
+    const kernels::PackedPlanes& planes = packed_classes_[c];
+    const std::int64_t d = kernels::active().planes_dot(
+        pos.data(), neg.data(), planes.planes.data(), words, planes.nplanes);
     sims[c] = static_cast<double>(d) / denoms_[c];
   }
+}
+
+std::vector<double> HDClassifier::similarities(
+    const kernels::PackedQuery& query) const {
+  if (query.dim != dim_) {
+    throw std::invalid_argument("HDClassifier: query dimension mismatch");
+  }
+  std::vector<double> sims(classes_.size());
+  similarities_into(query.pos, query.neg, sims);
   return sims;
 }
 
@@ -421,10 +435,7 @@ void HDClassifier::add_to_dimensions(std::size_t label,
     std::vector<std::int32_t> vals(dims.size());
     for (std::size_t j = 0; j < dims.size(); ++j) vals[j] = cls[dims[j]];
     if (kernels::update_plane_columns(packed_classes_[label], dims, vals)) {
-      // The denominator must be recomputed with the same index-ordered
-      // double accumulation norm() uses — an incremental sum-of-squares
-      // would not be bit-identical to a cold rebuild.
-      denoms_[label] = std::sqrt(static_cast<double>(dim_)) * norm(cls);
+      refresh_denom(label);
       return;
     }
   }

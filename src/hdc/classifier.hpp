@@ -53,7 +53,8 @@ class HDClassifier {
 
   // ---- initial training -------------------------------------------------
 
-  /// Bundles one encoded training sample into its class hypervector.
+  /// Bundles one encoded training sample (components -1, 0 or +1) into its
+  /// class hypervector; a warm cache entry is updated in place.
   void add_sample(std::size_t label, std::span<const std::int8_t> hv);
 
   /// Bundles a pre-accumulated hypervector (e.g. a batch hypervector or a
@@ -73,32 +74,22 @@ class HDClassifier {
 
   /// One perceptron pass over (hvs, labels): for each misclassified sample,
   /// adds it to the correct class and subtracts it from the predicted one.
-  /// Returns the number of misclassifications observed during the pass.
+  /// Each update takes effect before the next sample is scored. Returns the
+  /// number of misclassifications observed during the pass.
+  ///
+  /// The scan runs on the packed class memory; a mistake's ±1 update is
+  /// applied to the two classes' bit planes in place (kernels::planes_add)
+  /// and only their norm denominators are recomputed, so no plane rebuild
+  /// follows an update. The cache is marked stale once the pass returns.
+  /// Components must be -1, 0 or +1, as for predict().
   std::size_t retrain_epoch(std::span<const BipolarHV> hvs,
                             std::span<const std::size_t> labels);
 
   /// Runs retrain_epoch for config().retrain_epochs passes (or until an
-  /// epoch makes no mistakes). Returns errors in the final epoch.
+  /// epoch makes no mistakes), packing the samples once for all passes.
+  /// Returns errors in the final epoch.
   std::size_t retrain(std::span<const BipolarHV> hvs,
                       std::span<const std::size_t> labels);
-
-  /// Parallel perceptron epoch: the misclassification scan runs over `pool`
-  /// against a snapshot of the epoch-start model, then the updates for every
-  /// misclassified sample are applied serially in ascending sample order.
-  /// This is the classic batch (synchronous) perceptron variant: unlike the
-  /// serial retrain_epoch(), updates within an epoch do not affect later
-  /// predictions in the same epoch — which is exactly what makes the result
-  /// bit-identical for any worker count. Returns misclassifications seen.
-  std::size_t retrain_epoch(std::span<const BipolarHV> hvs,
-                            std::span<const std::size_t> labels,
-                            runtime::ThreadPool& pool);
-
-  /// Runs the parallel retrain_epoch for config().retrain_epochs passes
-  /// (or until an epoch makes no mistakes); epochs stay serial with respect
-  /// to each other. Returns errors in the final epoch.
-  std::size_t retrain(std::span<const BipolarHV> hvs,
-                      std::span<const std::size_t> labels,
-                      runtime::ThreadPool& pool);
 
   // ---- inference ---------------------------------------------------------
   //
@@ -216,18 +207,30 @@ class HDClassifier {
   void check_label(std::size_t label) const;
 
   /// Marks one class's packed planes + cached norm stale (any mutation of
-  /// classes_[label] must call this).
+  /// classes_[label] must call this or update_cache).
   void invalidate_cache(std::size_t label) noexcept;
   /// Marks every class stale.
   void invalidate_cache() noexcept;
   /// Rebuilds class `c`'s cache entry if stale. Single-threaded only.
   void ensure_cache(std::size_t c) const;
 
-  /// Shared parallel perceptron epoch over pre-packed queries.
-  std::size_t retrain_epoch_packed(std::span<const kernels::PackedQuery> packed,
-                                   std::span<const BipolarHV> hvs,
-                                   std::span<const std::size_t> labels,
-                                   runtime::ThreadPool& pool);
+  /// Recomputes class `c`'s similarity denominator from classes_[c].
+  void refresh_denom(std::size_t c) const;
+  /// After classes_[label] += sign * q (sign = ±1, q given by its sign masks
+  /// as in kernels::PackedQuery), brings the entry — which must be warm — up
+  /// to date in place.
+  void update_cache(std::size_t label, std::span<const std::uint64_t> pos,
+                    std::span<const std::uint64_t> neg, int sign);
+  /// similarities() of the query with sign masks pos / neg, into caller
+  /// storage (one slot per class).
+  void similarities_into(std::span<const std::uint64_t> pos,
+                         std::span<const std::uint64_t> neg,
+                         std::span<double> sims) const;
+  /// Up to `max_passes` serial perceptron passes, stopping after a pass with
+  /// no mistakes; returns the last pass's mistakes.
+  std::size_t retrain_passes(std::span<const BipolarHV> hvs,
+                             std::span<const std::size_t> labels,
+                             std::size_t max_passes);
 
   std::size_t dim_;
   ClassifierConfig config_;
@@ -236,9 +239,11 @@ class HDClassifier {
 
   // Lazily rebuilt per-class inference cache: bit-plane packed accumulator
   // and the similarity denominator sqrt(dim) * ||class|| (so similarities()
-  // stops recomputing sqrt(dot(c, c)) per query). `mutable` because warming
-  // the cache is observably pure; uint8_t (not vector<bool>) so distinct
-  // slots are distinct bytes.
+  // stops recomputing sqrt(dot(c, c)) per query). ±1 bundling (add_sample,
+  // a retraining pass) and column patches keep a warm entry exact in place;
+  // every other mutator, and the end of a retraining run, marks it stale. `mutable` because warming the cache is
+  // observably pure; uint8_t (not vector<bool>) so distinct slots are
+  // distinct bytes.
   mutable std::vector<kernels::PackedPlanes> packed_classes_;
   mutable std::vector<double> denoms_;
   mutable std::vector<std::uint8_t> cache_valid_;

@@ -1,5 +1,6 @@
 #include "packed.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -90,6 +91,57 @@ std::int64_t planes_dot(const PackedQuery& q, const PackedPlanes& p) {
   if (q.dim == 0) return 0;
   return active().planes_dot(q.pos.data(), q.neg.data(), p.planes.data(),
                              packed_words(q.dim), p.nplanes);
+}
+
+void planes_add(PackedPlanes& p, std::span<const std::uint64_t> pos,
+                std::span<const std::uint64_t> neg, int sign) {
+  const std::size_t words = packed_words(p.dim);
+  if (pos.size() != words || neg.size() != words) {
+    throw std::invalid_argument("planes_add: mask length mismatch");
+  }
+  if (sign != 1 && sign != -1) {
+    throw std::invalid_argument("planes_add: sign must be +1 or -1");
+  }
+  assert(p.nplanes >= 1 || words == 0);
+  assert(p.planes.size() == p.nplanes * words);
+  // pos and neg are disjoint, so one pass can ripple a carry (components
+  // gaining 1) and a borrow (components losing 1) side by side.
+  const std::uint64_t* inc = sign > 0 ? pos.data() : neg.data();
+  const std::uint64_t* dec = sign > 0 ? neg.data() : pos.data();
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t carry = inc[w];
+    std::uint64_t borrow = dec[w];
+    std::size_t b = 0;
+    for (; b + 1 < p.nplanes && (carry | borrow) != 0; ++b) {
+      std::uint64_t& x = p.planes[b * words + w];
+      const std::uint64_t old = x;
+      x = old ^ carry ^ borrow;
+      carry &= old;
+      borrow &= ~old;
+    }
+    if ((carry | borrow) == 0) continue;
+    // The ripple reached the sign plane. A carry into a clear sign bit or a
+    // borrow out of a set one wraps: that component now needs one more
+    // plane.
+    std::uint64_t& s = p.planes[b * words + w];
+    const std::uint64_t old = s;
+    s = old ^ carry ^ borrow;
+    const std::uint64_t overflow = (carry & ~old) | (borrow & old);
+    if (overflow == 0) continue;
+    // kMaxPlanes planes hold every int32 value ± 1, so they never wrap.
+    assert(p.nplanes < kMaxPlanes);
+    // Grow by one plane. Words before w hold updated values and words after
+    // it old ones; both fit the old width, so the new plane is a copy of the
+    // sign plane, except where word w's components wrapped: their true high
+    // bit is the inverse of the wrapped sign bit. Values fitted the old width
+    // before this ±1, so no later word can overflow the new one.
+    const std::size_t top = p.nplanes * words;
+    p.planes.resize(top + words);
+    std::copy_n(p.planes.begin() + static_cast<std::ptrdiff_t>(top - words),
+                words, p.planes.begin() + static_cast<std::ptrdiff_t>(top));
+    p.planes[top + w] ^= overflow;
+    ++p.nplanes;
+  }
 }
 
 bool update_plane_columns(PackedPlanes& p, std::span<const std::uint32_t> dims,

@@ -44,8 +44,15 @@ struct PackedQuery {
   std::vector<std::uint64_t> neg;
 };
 
+/// Most planes an int32 accumulator needs: INT32_MIN has magnitude 2^31, so
+/// the wire width rule (sign bit + magnitude bits) gives 33.
+inline constexpr std::size_t kMaxPlanes = 33;
+
 /// An int32 accumulator as `nplanes` two's-complement bit planes
 /// (plane-major: plane b occupies words [b * packed_words(dim), ...)).
+/// Any nplanes in [2, kMaxPlanes] wide enough for every value is a valid
+/// decomposition: planes above the narrowest fitting width are copies of the
+/// sign plane, and planes_dot / update_plane_columns read them as such.
 struct PackedPlanes {
   std::size_t dim = 0;
   std::size_t nplanes = 0;
@@ -76,6 +83,22 @@ PackedPlanes build_planes(std::span<const std::int32_t> acc);
 
 /// sum_i q_i * acc_i as exact int64 (the classifier's similarity numerator).
 std::int64_t planes_dot(const PackedQuery& q, const PackedPlanes& p);
+
+/// In-place bundling: adds sign * q_i (sign = +1 or -1) to every component
+/// of the packed accumulator, where q is the tri-state query with sign masks
+/// pos / neg (packed_words(p.dim) words each, as in PackedQuery) — the
+/// perceptron update C += H / C -= H — without rebuilding the planes. A
+/// word-wise ripple carry (pos mask) and borrow (neg mask) runs through the
+/// two's-complement planes,
+/// stopping once neither propagates, so the cost is O(words × nplanes) at
+/// worst and usually a few planes per word. When a component leaves the
+/// current width (it was 2^(nplanes-1) - 1 and gained 1, or -2^(nplanes-1)
+/// and lost 1) the planes grow by one sign-extension plane, so the result
+/// is always exactly the updated accumulator; starting from int32 values
+/// the planes never grow past kMaxPlanes. Throws std::invalid_argument on a
+/// mask length mismatch or a sign other than ±1.
+void planes_add(PackedPlanes& p, std::span<const std::uint64_t> pos,
+                std::span<const std::uint64_t> neg, int sign);
 
 /// In-place column update: sets component dims[j] of the packed accumulator
 /// to vals[j] without rebuilding the planes (a DimensionPatch touches k << D

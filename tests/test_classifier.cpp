@@ -1,6 +1,8 @@
 // Unit tests for the class-hypervector classifier (src/hdc/classifier.*).
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/random.hpp"
@@ -201,5 +203,110 @@ TEST(Classifier, EncoderPlusClassifierSolvesNonLinearProblem) {
   clf.retrain(hvs, labels);
   EXPECT_GT(clf.accuracy(hvs, labels), 0.85);
 }
+
+// ---- retraining vs a naive reference ----------------------------------------
+
+/// k clusters of noisy copies of k prototypes. Every fifth sample has about
+/// a quarter of its components zeroed (tri-state, as degraded operation
+/// produces), and every seventh carries the next cluster's label, so no
+/// model separates the set and every retraining pass makes updates.
+struct KClusters {
+  std::vector<BipolarHV> hvs;
+  std::vector<std::size_t> labels;
+
+  KClusters(std::size_t k, std::size_t dim, std::size_t per_class, double flip,
+            std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<BipolarHV> prototypes;
+    for (std::size_t c = 0; c < k; ++c) prototypes.push_back(rng.sign_vector(dim));
+    for (std::size_t i = 0; i < k * per_class; ++i) {
+      auto hv = prototypes[i % k];
+      for (auto& v : hv) {
+        if (rng.bernoulli(flip)) v = static_cast<std::int8_t>(-v);
+        if (i % 5 == 0 && rng.bernoulli(0.25)) v = 0;
+      }
+      hvs.push_back(std::move(hv));
+      labels.push_back(i % 7 == 3 ? (i + 1) % k : i % k);
+    }
+  }
+};
+
+/// The perceptron rule written out directly: dense cosine per sample, no
+/// cache, ties to the lowest class index.
+std::size_t reference_epoch(std::vector<AccumHV>& classes,
+                            const std::vector<BipolarHV>& hvs,
+                            const std::vector<std::size_t>& labels) {
+  std::size_t errors = 0;
+  for (std::size_t i = 0; i < hvs.size(); ++i) {
+    std::size_t best = 0;
+    double best_sim = cosine(hvs[i], classes[0]);
+    for (std::size_t c = 1; c < classes.size(); ++c) {
+      const double sim = cosine(hvs[i], classes[c]);
+      if (sim > best_sim) {
+        best_sim = sim;
+        best = c;
+      }
+    }
+    if (best == labels[i]) continue;
+    ++errors;
+    for (std::size_t j = 0; j < hvs[i].size(); ++j) {
+      classes[labels[i]][j] += hvs[i][j];
+      classes[best][j] -= hvs[i][j];
+    }
+  }
+  return errors;
+}
+
+std::vector<AccumHV> accumulators(const HDClassifier& clf) {
+  std::vector<AccumHV> out;
+  for (std::size_t c = 0; c < clf.num_classes(); ++c) {
+    out.push_back(clf.class_accumulator(c));
+  }
+  return out;
+}
+
+class RetrainReference
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(RetrainReference, SerialRetrainMatchesNaivePerceptron) {
+  const auto [dim, k] = GetParam();
+  const KClusters data(k, dim, 40, 0.42, dim * 10 + k);
+  HDClassifier clf(k, dim);
+  std::vector<AccumHV> ref(k, AccumHV(dim, 0));
+  for (std::size_t i = 0; i < data.hvs.size(); ++i) {
+    clf.add_sample(data.labels[i], data.hvs[i]);
+    for (std::size_t j = 0; j < dim; ++j) ref[data.labels[i]][j] += data.hvs[i][j];
+  }
+  const HDClassifier untrained = clf;
+  const std::vector<AccumHV> ref_untrained = ref;
+
+  // Epoch by epoch: identical error counts and models after every pass.
+  std::size_t total_errors = 0;
+  for (std::size_t e = 0; e < clf.config().retrain_epochs; ++e) {
+    const std::size_t ref_errors = reference_epoch(ref, data.hvs, data.labels);
+    ASSERT_EQ(clf.retrain_epoch(data.hvs, data.labels), ref_errors)
+        << "epoch " << e;
+    ASSERT_EQ(accumulators(clf), ref) << "epoch " << e;
+    total_errors += ref_errors;
+  }
+  EXPECT_GT(total_errors, 0U);  // the reference did update the model
+
+  // retrain() runs the same passes, stopping at the first clean one.
+  HDClassifier whole = untrained;
+  std::vector<AccumHV> ref_whole = ref_untrained;
+  std::size_t ref_final = 0;
+  for (std::size_t e = 0; e < whole.config().retrain_epochs; ++e) {
+    ref_final = reference_epoch(ref_whole, data.hvs, data.labels);
+    if (ref_final == 0) break;
+  }
+  EXPECT_EQ(whole.retrain(data.hvs, data.labels), ref_final);
+  EXPECT_EQ(accumulators(whole), ref_whole);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RetrainReference,
+    ::testing::Combine(::testing::Values(std::size_t{77}, std::size_t{333},
+                                         std::size_t{1333}),
+                       ::testing::Values(std::size_t{3}, std::size_t{5})));
 
 }  // namespace

@@ -6,6 +6,8 @@
 // tests enforce both halves:
 //   * packed forms vs the unpacked reference (dot, planes, wire bytes),
 //     across awkward dimensions (empty, size 1, word boundaries, primes);
+//   * in-place plane updates (planes_add) vs a fresh build_planes, across
+//     every plane-count boundary up to the int32 extremes;
 //   * scalar_table() vs simd_table() on every kernel, bitwise;
 //   * the classifier's lazy norm/plane cache vs direct cosine after every
 //     mutating entry point;
@@ -134,6 +136,168 @@ TEST(Planes, ZeroAccumulatorDotsToZero) {
   const auto q = rng.sign_vector(100);
   EXPECT_EQ(kernels::planes_dot(kernels::pack_query(q), kernels::build_planes(acc)),
             0);
+}
+
+// ---- in-place plane updates (planes_add) ------------------------------------
+
+/// Component i of a packed accumulator, sign-extended from its top plane.
+std::int64_t plane_value(const kernels::PackedPlanes& p, std::size_t i) {
+  const std::size_t words = kernels::packed_words(p.dim);
+  std::uint64_t u = 0;
+  for (std::size_t b = 0; b < p.nplanes; ++b) {
+    u |= ((p.planes[b * words + i / 64] >> (i % 64)) & 1U) << b;
+  }
+  const std::uint64_t sign = std::uint64_t{1} << (p.nplanes - 1);
+  return static_cast<std::int64_t>(u ^ sign) - static_cast<std::int64_t>(sign);
+}
+
+/// Word w of plane b, reading planes above the top one as copies of it.
+std::uint64_t plane_word(const kernels::PackedPlanes& p, std::size_t b,
+                         std::size_t w) {
+  return p.planes[std::min(b, p.nplanes - 1) * kernels::packed_words(p.dim) + w];
+}
+
+/// True if every value fits n-bit two's complement.
+bool fits_width(std::span<const std::int32_t> acc, std::size_t n) {
+  const std::int64_t hi = (std::int64_t{1} << (n - 1)) - 1;
+  return std::all_of(acc.begin(), acc.end(), [&](std::int32_t v) {
+    return v <= hi && v >= -hi - 1;
+  });
+}
+
+/// Checks `p` against the accumulator it should now hold: same values, and
+/// plane for plane the same sign-extended words as a fresh build_planes, so
+/// any planes beyond the rebuild's are sign-extension planes.
+void expect_planes_hold(const kernels::PackedPlanes& p,
+                        std::span<const std::int32_t> acc, Rng& rng) {
+  ASSERT_EQ(p.dim, acc.size());
+  ASSERT_GE(p.nplanes, 2U);
+  ASSERT_LE(p.nplanes, kernels::kMaxPlanes);
+  const std::size_t words = kernels::packed_words(p.dim);
+  ASSERT_EQ(p.planes.size(), p.nplanes * words);
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    ASSERT_EQ(plane_value(p, i), acc[i]) << "component " << i;
+  }
+  const auto rebuilt = kernels::build_planes(acc);
+  for (std::size_t b = 0; b < std::max(p.nplanes, rebuilt.nplanes); ++b) {
+    for (std::size_t w = 0; w < words; ++w) {
+      ASSERT_EQ(plane_word(p, b, w), plane_word(rebuilt, b, w))
+          << "plane " << b << " word " << w;
+    }
+  }
+  const auto r = tri_state_vector(rng, acc.size());
+  std::int64_t expected = 0;
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    expected += static_cast<std::int64_t>(r[i]) * acc[i];
+  }
+  const auto packed_r = kernels::pack_query(r);
+  EXPECT_EQ(kernels::planes_dot(packed_r, p), expected);
+  EXPECT_EQ(kernels::planes_dot(packed_r, rebuilt), expected);
+}
+
+TEST(PlanesAdd, MatchesRebuildAcrossEveryWidthBoundary) {
+  BackendGuard guard;
+  for (const auto backend : {kernels::Backend::kScalar, kernels::Backend::kSimd}) {
+    if (backend == kernels::Backend::kSimd && kernels::simd_table() == nullptr) {
+      continue;
+    }
+    kernels::force_backend(backend);
+    Rng rng(18);
+    std::size_t growths = 0;
+    for (const std::size_t dim : {1U, 63U, 64U, 65U, 130U, 333U}) {
+      // m = 0..31 puts components at ±(2^m - 1), the top of the (m + 1)-plane
+      // range, for every plane count the int32 range has; m = 32 puts them
+      // next to INT32_MIN / INT32_MAX (33 planes).
+      for (std::size_t m = 0; m <= 32; ++m) {
+        AccumHV acc(dim);
+        for (auto& v : acc) {
+          const std::int64_t edge =
+              m == 32 ? std::int64_t{std::numeric_limits<std::int32_t>::max()} -
+                            static_cast<std::int64_t>(rng.index(3))
+                      : (std::int64_t{1} << m) - 1;
+          const auto r = rng.index(3);
+          v = static_cast<std::int32_t>(
+              r == 0 ? static_cast<std::int64_t>(rng.index(5)) - 2
+                     : (r == 1 ? edge : -edge - (m == 32 ? 1 : 0)));
+        }
+        auto planes = kernels::build_planes(acc);
+        for (int step = 0; step < 8; ++step) {
+          auto q = tri_state_vector(rng, dim);
+          const int sign = rng.index(2) == 0 ? 1 : -1;
+          for (std::size_t i = 0; i < dim; ++i) {
+            // Skip components the update would push out of int32.
+            const std::int64_t next =
+                static_cast<std::int64_t>(acc[i]) + sign * q[i];
+            if (next > std::numeric_limits<std::int32_t>::max() ||
+                next < std::numeric_limits<std::int32_t>::min()) {
+              q[i] = 0;
+            } else {
+              acc[i] = static_cast<std::int32_t>(next);
+            }
+          }
+          const std::size_t before = planes.nplanes;
+          const auto packed = kernels::pack_query(q);
+          kernels::planes_add(planes, packed.pos, packed.neg, sign);
+          ASSERT_NO_FATAL_FAILURE(expect_planes_hold(planes, acc, rng))
+              << "dim " << dim << " m " << m << " step " << step;
+          // Growth is one plane at a time, and only when a value needs it.
+          if (planes.nplanes != before) {
+            ASSERT_EQ(planes.nplanes, before + 1);
+            EXPECT_FALSE(fits_width(acc, before));
+            ++growths;
+          }
+        }
+      }
+    }
+    EXPECT_GT(growths, 0U);  // the sweep did cross width boundaries
+  }
+}
+
+TEST(PlanesAdd, GrowsOnlyWhenAComponentWraps) {
+  Rng rng(19);
+  // Bottom edge: -2 fits the 2-plane range [-2, 1]; -3 does not.
+  AccumHV acc = {-1, 1};
+  auto planes = kernels::build_planes(acc);
+  ASSERT_EQ(planes.nplanes, 2U);
+  const auto first = kernels::pack_query(std::vector<std::int8_t>{1, 0});
+  kernels::planes_add(planes, first.pos, first.neg, -1);
+  acc[0] = -2;
+  EXPECT_EQ(planes.nplanes, 2U);
+  expect_planes_hold(planes, acc, rng);
+  kernels::planes_add(planes, first.pos, first.neg, -1);
+  acc[0] = -3;
+  EXPECT_EQ(planes.nplanes, 3U);
+  expect_planes_hold(planes, acc, rng);
+
+  // Top edge, wrapping in the middle word: word 0 is already updated and
+  // word 2 not yet when the planes grow.
+  acc.assign(130, 0);
+  acc[5] = -1;
+  acc[100] = 1;
+  acc[129] = -1;
+  planes = kernels::build_planes(acc);
+  ASSERT_EQ(planes.nplanes, 2U);
+  std::vector<std::int8_t> q(130, 0);
+  q[5] = q[100] = q[129] = 1;
+  const auto packed = kernels::pack_query(q);
+  kernels::planes_add(planes, packed.pos, packed.neg, 1);
+  acc[5] = 0;
+  acc[100] = 2;
+  acc[129] = 0;
+  EXPECT_EQ(planes.nplanes, 3U);
+  expect_planes_hold(planes, acc, rng);
+}
+
+TEST(PlanesAdd, RejectsMismatchedMasksAndBadSign) {
+  auto planes = kernels::build_planes(AccumHV(10, 0));
+  const auto wide = kernels::pack_query(BipolarHV(65, 1));
+  EXPECT_THROW(kernels::planes_add(planes, wide.pos, wide.neg, 1),
+               std::invalid_argument);
+  const auto q = kernels::pack_query(BipolarHV(10, 1));
+  EXPECT_THROW(kernels::planes_add(planes, q.pos, wide.neg, 1),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::planes_add(planes, q.pos, q.neg, 0), std::invalid_argument);
+  EXPECT_THROW(kernels::planes_add(planes, q.pos, q.neg, 2), std::invalid_argument);
 }
 
 // ---- scalar vs SIMD table, kernel by kernel --------------------------------
@@ -403,17 +567,25 @@ TEST(ClassifierCache, SimilaritiesTrackEveryMutator) {
   clf.merge(other);
   expect_sims_match_direct(clf, q);
 
-  // Retraining mutates through its own path.
+  // Each check warms the cache. Serial retraining updates it in place
+  // during its passes and marks it stale when it returns; add_sample on a
+  // warm cache updates it in place.
   edgehd::runtime::ThreadPool pool(2);
   std::vector<BipolarHV> hvs;
   std::vector<std::size_t> labels;
   for (std::size_t i = 0; i < 12; ++i) {
-    hvs.push_back(rng.sign_vector(dim));
+    hvs.push_back(i % 4 == 0 ? tri_state_vector(rng, dim) : rng.sign_vector(dim));
     labels.push_back(i % k);
   }
   clf.train_batch(hvs, labels, pool);
   expect_sims_match_direct(clf, q);
-  clf.retrain(hvs, labels, pool);
+  EXPECT_GT(clf.retrain_epoch(hvs, labels), 0U);  // the pass did update
+  expect_sims_match_direct(clf, q);
+  clf.retrain(hvs, labels);
+  expect_sims_match_direct(clf, q);
+  clf.add_sample(1, rng.sign_vector(dim));
+  expect_sims_match_direct(clf, q);
+  clf.add_sample(2, tri_state_vector(rng, dim));
   expect_sims_match_direct(clf, q);
 }
 
@@ -486,7 +658,7 @@ E2eOutcome run_pipeline(std::size_t workers) {
   const auto test_hv = enc.encode_batch(test_x, pool);
   HDClassifier clf(k, d);
   clf.train_batch(train_hv, train_y, pool);
-  clf.retrain(train_hv, train_y, pool);
+  clf.retrain(train_hv, train_y);
 
   E2eOutcome out;
   for (const auto& pred : clf.predict_batch(test_hv, pool)) {
