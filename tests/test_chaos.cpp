@@ -303,6 +303,31 @@ TEST(ChaosSystem, RejoinConvergesToNeverFailedModel) {
   EXPECT_TRUE(sys.stragglers().empty());
 }
 
+TEST(ChaosSystem, AdvancingTheDetectorAdvancesTheWorld) {
+  // The world (which origins may compute) and the beliefs (who is
+  // reachable) must describe the same instant. With the world frozen at the
+  // plan's t=0 snapshot, the revived gateway would be believed up by its
+  // children, receive their residuals, and never open its own phase.
+  const auto ds = chaos_dataset(200, 40);
+  const auto topo = net::Topology::paper_tree(4);
+  core::EdgeHdSystem sys(ds, topo, chaos_cfg());
+  const NodeId gw = topo.parent(topo.leaves().front());
+  FaultPlan plan(17);
+  plan.crash(gw, 0, 1 * kSecond);
+  sys.set_fault_plan(plan, 0);
+  sys.train();
+
+  sys.advance_detector(2 * kSecond);
+  ASSERT_TRUE(sys.detector()->view().node_up(gw));
+  EXPECT_TRUE(sys.health().node_up(gw));
+
+  const auto leaves = topo.leaves();
+  for (std::size_t s = 0; s < ds.test_size(); ++s) {
+    sys.online_serve(ds.test_x[s], ds.test_y[s], leaves[s % leaves.size()]);
+  }
+  EXPECT_NO_THROW(sys.propagate_residuals());
+}
+
 TEST(ChaosSystem, RejoinRequiresTrainingAndRejectsTheRoot) {
   const auto ds = chaos_dataset(200, 40);
   core::EdgeHdSystem sys(ds, net::Topology::paper_tree(4), chaos_cfg());
