@@ -1,7 +1,7 @@
 // Figure 13 — impact of hierarchy depth on PECAN: (a) EdgeHD speedup over
 // centralized learning on the same topology at 1 Gbps and 802.11n, for
 // hierarchy depths 3..7; (b) central-node accuracy vs depth, plus the
-// measured training bytes with and without collective schedules.
+// measured training bytes.
 #include <cstdio>
 #include <string>
 
@@ -58,13 +58,6 @@ int main() {
     const double train_bytes = bench::via_registry(
         prefix + "train_bytes", static_cast<double>(comm.bytes));
 
-    auto coll_cfg = setup.cfg;
-    coll_cfg.collective.enabled = true;
-    core::EdgeHdSystem fused(ds, topo, coll_cfg);
-    const auto coll_comm = fused.train();
-    const double coll_bytes = bench::via_registry(
-        prefix + "train_bytes_collective", static_cast<double>(coll_comm.bytes));
-
     // Deeper chains of sign-projections lose information at fixed D; the
     // paper compensates with a larger dimensionality in deep configurations.
     auto comp_cfg = setup.cfg;
@@ -78,9 +71,8 @@ int main() {
         prefix + "compensated_accuracy_pct",
         bench::pct(compensated.accuracy_at_node(compensated.topology().root())));
     std::printf("depth=%zu  central accuracy = %.1f%%   (D=%zu: %.1f%%)   "
-                "train bytes %.0f -> %.0f collective\n",
-                depth, acc, comp_cfg.total_dim, comp_acc, train_bytes,
-                coll_bytes);
+                "train bytes %.0f\n",
+                depth, acc, comp_cfg.total_dim, comp_acc, train_bytes);
   }
   bench::print_rule(60);
   std::printf("paper: speedup grows with depth (3.3x at 1Gbps by depth 7); "

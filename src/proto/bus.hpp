@@ -11,9 +11,9 @@
 //
 //  * LocalBus — deterministic in-process delivery: post() invokes the
 //    destination's handler before returning, so a protocol session that
-//    walks nodes bottom-up doubles as the event loop. It can optionally
-//    round-trip every envelope through the real codec (Codec::kEncoded),
-//    which is how the facade proves the protocols run over actual bytes.
+//    walks nodes bottom-up doubles as the event loop. Every envelope
+//    round-trips through the real codec, which is how the facade proves
+//    the protocols run over actual bytes.
 //  * SimulatorBus — rides net::Simulator::send_payload: envelopes are
 //    encoded, travel one hop with full link/fault semantics, and are decoded
 //    at the receiver (a decode failure is counted, never fatal).
@@ -60,11 +60,10 @@ class Bus {
 /// order, so protocol control flow stays deterministic and single-stack.
 class LocalBus final : public Bus {
  public:
-  /// Whether posted envelopes round-trip through encode()/decode() before
-  /// delivery. kEncoded exercises the real wire codec on every message (a
-  /// decode failure throws — it would mean the codec violates its own
-  /// round-trip contract); kInMemory skips serialization.
-  enum class Codec : std::uint8_t { kInMemory, kEncoded };
+  /// Posted envelopes always round-trip through encode()/decode() before
+  /// delivery; a decode failure throws (the codec broke its own contract).
+  // One value, kept only because bench/e2e/bench_e2e.cpp spells kEncoded.
+  enum class Codec : std::uint8_t { kEncoded };
 
   explicit LocalBus(std::size_t num_nodes, Codec codec = Codec::kEncoded);
 
@@ -79,7 +78,6 @@ class LocalBus final : public Bus {
   std::vector<Handler> handlers_;
   CommStats* charge_ = nullptr;
   std::uint64_t delivered_ = 0;
-  Codec codec_;
 };
 
 /// Bus riding the discrete-event network simulator: each post is one

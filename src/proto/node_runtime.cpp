@@ -108,17 +108,9 @@ void NodeRuntime::on_envelope(const Envelope& env) {
           }
           inbox_[child_index(env.src)][m.class_id] = m.accum;
         } else if constexpr (std::is_same_v<T, BatchUpdate>) {
-          require_phase(Phase::kBatchRetraining, "BatchUpdate");
-          if (m.class_id >= num_classes_) {
-            throw std::logic_error("NodeRuntime: BatchUpdate class id out of "
-                                   "range");
-          }
-          auto& slot = batch_inbox_[child_index(env.src)][m.class_id];
-          if (m.batch_id >= slot.size()) {
-            throw std::logic_error("NodeRuntime: BatchUpdate batch id out of "
-                                   "range");
-          }
-          slot[m.batch_id] = m.accum;
+          throw std::logic_error(
+              "NodeRuntime: BatchUpdate is not part of any protocol phase "
+              "(retraining ships ReducePartial)");
         } else if constexpr (std::is_same_v<T, ResidualMerge>) {
           require_phase(Phase::kResidualPropagation, "ResidualMerge");
           if (m.class_id >= num_classes_) {
@@ -160,9 +152,8 @@ void NodeRuntime::on_envelope(const Envelope& env) {
           inbox_[child_index(env.src)][m.class_id] = m.accum;
         } else if constexpr (std::is_same_v<T, ReducePartial>) {
           // A fused frame: the sender's entire per-phase contribution in one
-          // envelope. Training phases scatter the sections into the same
-          // inboxes the per-message path fills — downstream aggregation is
-          // shared, which is what makes the two schedules bit-identical.
+          // envelope, scattered into the phase's [child][class] or
+          // [child][class][batch] inbox.
           if (m.phase == kReduceInitial) {
             require_phase(Phase::kInitialTraining, "ReducePartial(initial)");
             if (m.sections.size() != num_classes_) {
@@ -186,26 +177,17 @@ void NodeRuntime::on_envelope(const Envelope& env) {
                   "NodeRuntime: ReducePartial(batch) section count != total "
                   "batches");
             }
-            // Class-major, batch-ascending — the order the p2p path posts.
+            // Class-major, batch-ascending.
             std::size_t s = 0;
             for (std::size_t c = 0; c < num_classes_; ++c) {
               for (std::size_t b = 0; b < slot[c].size(); ++b) {
                 slot[c][b] = m.sections[s++];
               }
             }
-          } else if (m.phase == kReduceGatewaySync ||
-                     m.phase == kReduceBroadcast) {
-            // Chunk relays / model broadcasts are phase-independent data
-            // motion; the collective primitive driving them drains this.
-            collective_frames_.push_back(
-                {static_cast<net::NodeId>(m.origin), m.sections});
           } else {
             throw std::logic_error(
-                "NodeRuntime: ReducePartial with unknown collective phase");
+                "NodeRuntime: ReducePartial with unknown training phase");
           }
-        } else if constexpr (std::is_same_v<T, CollectivePlan>) {
-          last_plan_ = m;
-          ++plans_received_;
         } else if constexpr (std::is_same_v<T, DimensionPatch>) {
           require_phase(Phase::kDimensionRegen, "DimensionPatch");
           if (m.is_request()) {
@@ -248,11 +230,6 @@ void NodeRuntime::on_envelope(const Envelope& env) {
         }
       },
       env.msg);
-}
-
-std::vector<NodeRuntime::CollectiveFrame>
-NodeRuntime::take_collective_frames() {
-  return std::exchange(collective_frames_, {});
 }
 
 std::vector<AccumHV> NodeRuntime::checkpoint_state() const {

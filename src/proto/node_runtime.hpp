@@ -101,9 +101,10 @@ class NodeRuntime {
   // ---- envelope consumption -----------------------------------------------
 
   /// Consumes one delivered envelope. Model-bearing messages must arrive in
-  /// their phase (ModelUpdate in initial training or reintegration,
-  /// BatchUpdate in batch retraining, ResidualMerge in residual propagation)
-  /// and from a topological child — anything else throws std::logic_error.
+  /// their phase (ReducePartial in initial training or batch retraining,
+  /// ModelUpdate in initial training or reintegration, ResidualMerge in
+  /// residual propagation) and from a topological child — anything else,
+  /// including a BatchUpdate (no phase takes one), throws std::logic_error.
   /// Query/probe messages are counted and dropped.
   void on_envelope(const Envelope& env);
 
@@ -111,28 +112,6 @@ class NodeRuntime {
   std::uint64_t queries_received() const noexcept { return queries_received_; }
   std::uint64_t joins_received() const noexcept { return joins_received_; }
   std::uint64_t leaves_received() const noexcept { return leaves_received_; }
-
-  // ---- collective traffic --------------------------------------------------
-
-  /// One fused frame delivered outside the training phases (all-reduce chunk
-  /// relays and model broadcasts — ReducePartial phases 2/3).
-  struct CollectiveFrame {
-    net::NodeId origin = net::kNoNode;
-    std::vector<hdc::AccumHV> sections;
-  };
-
-  /// Drains the collective inbox (delivery order preserved). The collective
-  /// primitives in collective.cpp poll this between hops, which is also how
-  /// they detect a lost frame and retry.
-  std::vector<CollectiveFrame> take_collective_frames();
-  std::size_t collective_frames_pending() const noexcept {
-    return collective_frames_.size();
-  }
-
-  /// Cost-model announcements heard (and the latest one): sessions broadcast
-  /// a CollectivePlan down the tree before running a collective phase.
-  std::uint64_t plans_received() const noexcept { return plans_received_; }
-  const CollectivePlan& last_plan() const noexcept { return last_plan_; }
 
   /// Highest incarnation heard from `node` via NodeJoin (0 = first life).
   std::uint64_t known_incarnation(net::NodeId node) const noexcept {
@@ -265,9 +244,6 @@ class NodeRuntime {
   std::uint64_t queries_received_ = 0;
   std::uint64_t joins_received_ = 0;
   std::uint64_t leaves_received_ = 0;
-  std::vector<CollectiveFrame> collective_frames_;
-  CollectivePlan last_plan_{};
-  std::uint64_t plans_received_ = 0;
   /// Highest incarnation announced per node (indexed by NodeId); a
   /// StateSync bearing a lower incarnation than recorded here is rejected.
   std::vector<std::uint64_t> incarnations_;

@@ -1,7 +1,7 @@
-// Lossless section codec for fused collective frames (ReducePartial).
+// Lossless section codec for fused training frames (ReducePartial).
 //
-// A collective schedule ships a child's *entire* per-phase contribution —
-// every class (and batch) accumulator — as the sections of one frame. Owning
+// Training ships a child's *entire* per-phase contribution — every class
+// (and batch) accumulator — as the sections of one frame. Owning
 // the whole contribution is what unlocks bytes the per-message path cannot
 // reach: the per-message codec (envelope.cpp write_accum) must size every
 // lane to the worst-case magnitude of its one accumulator, while this codec
@@ -20,9 +20,8 @@
 // The mode is the deterministic argmin of encoded size (ties resolve to
 // FOR), so encoding is a pure function of the section values — the same
 // contribution always costs the same bytes. Both modes are exactly
-// invertible: decode(encode(x)) == x bit for bit, which is what lets the
-// collective schedules promise models bit-identical to the point-to-point
-// reference (pinned by tests/test_collective.cpp).
+// invertible: decode(encode(x)) == x bit for bit, so fusing a contribution
+// never changes the models it trains (pinned by tests/test_collective.cpp).
 //
 // Only section *bodies* live here (mode byte, side information, packed
 // bits). Counts and dimensions are structural framing written by the

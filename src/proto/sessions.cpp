@@ -76,52 +76,6 @@ void post_class_set(const SessionContext& ctx, NodeId src,
   }
 }
 
-/// Resolves the data-motion schedule for a training phase shipping
-/// `frames_per_edge` frames per live edge. The training sessions know two
-/// flows — per-message and fused subtree reduce — so a force to one of the
-/// sibling all-reduce algorithms still selects the fused reduce here.
-CollectiveAlgo resolve_algo(const SessionContext& ctx,
-                            std::uint64_t frames_per_edge) {
-  if (ctx.collective == nullptr || !ctx.collective->enabled) {
-    return CollectiveAlgo::kPointToPoint;
-  }
-  CollectiveAlgo algo;
-  if (ctx.collective->force) {
-    algo = *ctx.collective->force;
-  } else {
-    const CollectiveCostModel model(*ctx.topology,
-                                    net::medium(ctx.collective->medium));
-    // Representative per-edge payload (~4 bits per lane of one node's
-    // contribution). Both schedules serialize the same accumulators, so the
-    // argmin is driven by the per-frame latency term against the fused
-    // schedule's plan-broadcast overhead.
-    const std::size_t dim = ctx.nodes.empty() ? 0 : ctx.nodes[0].dim();
-    const std::uint64_t bytes =
-        frames_per_edge * ((static_cast<std::uint64_t>(dim) + 1) / 2);
-    algo = model.pick_reduce(frames_per_edge, bytes, bytes);
-  }
-  return algo == CollectiveAlgo::kPointToPoint ? algo
-                                               : CollectiveAlgo::kTreeReduce;
-}
-
-/// Announces the phase's schedule down every delivering link (top-down, so
-/// a node hears the plan before its own children's frames move). Charged to
-/// the session like any other envelope: the plan is part of what the
-/// collective schedule costs.
-void broadcast_plan(const SessionContext& ctx, const CollectivePlan& plan,
-                    std::span<const NodeId> order) {
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId id = *it;
-    if (ctx.topology->is_leaf(id) || !ctx.liveness.origin_up(id)) continue;
-    for (NodeId kid : ctx.topology->children(id)) {
-      if (!ctx.liveness.origin_up(kid) || !ctx.liveness.delivers(kid)) {
-        continue;
-      }
-      ctx.bus->post(Envelope{kProtoVersion, id, kid, plan});
-    }
-  }
-}
-
 }  // namespace
 
 CommStats run_initial_training(const SessionContext& ctx,
@@ -131,15 +85,6 @@ CommStats run_initial_training(const SessionContext& ctx,
   ctx.stragglers->clear();
 
   const auto order = ctx.bottom_up_order();
-  const CollectiveAlgo algo = resolve_algo(ctx, ctx.num_classes);
-  if (algo == CollectiveAlgo::kTreeReduce) {
-    // plan_id doubles as the expected fused section count per frame.
-    broadcast_plan(ctx,
-                   CollectivePlan{kReduceInitial,
-                                  static_cast<std::uint8_t>(algo), 0,
-                                  static_cast<std::uint64_t>(ctx.num_classes)},
-                   order);
-  }
   for (NodeId id : order) {
     if (ctx.liveness.origin_up(id)) ctx.nodes[id].begin_initial_training();
   }
@@ -153,20 +98,14 @@ CommStats run_initial_training(const SessionContext& ctx,
       (*ctx.pending_contrib)[id] = accums;
       ctx.stragglers->push_back(id);
     } else if (id != ctx.topology->root()) {
-      // Ship the k class hypervectors (models, not data). Not parked means
-      // the uplink and the parent are both up, so every post delivers —
-      // the bus charge equals what crossed live links.
-      if (algo == CollectiveAlgo::kTreeReduce) {
-        // Fused subtree reduce: the whole class set in one entropy-coded
-        // frame; the receiver scatters it into the same inbox the
-        // per-message path fills.
-        ctx.bus->post(Envelope{
-            kProtoVersion, id, ctx.topology->parent(id),
-            ReducePartial{kReduceInitial, static_cast<std::uint32_t>(id),
-                          accums}});
-      } else {
-        post_class_set(ctx, id, accums);
-      }
+      // Ship the k class hypervectors (models, not data) in one
+      // entropy-coded frame. Not parked means the uplink and the parent are
+      // both up, so the post delivers — the bus charge equals what crossed
+      // live links.
+      ctx.bus->post(Envelope{
+          kProtoVersion, id, ctx.topology->parent(id),
+          ReducePartial{kReduceInitial, static_cast<std::uint32_t>(id),
+                        accums}});
     }
   }
   return comm;
@@ -204,20 +143,7 @@ CommStats run_batch_retraining(const SessionContext& ctx,
     }
   };
 
-  std::uint64_t frames_per_edge = 0;
-  for (std::size_t c = 0; c < ctx.num_classes; ++c) {
-    frames_per_edge += batches[c].size();
-  }
-
   const auto order = ctx.bottom_up_order();
-  const CollectiveAlgo algo = resolve_algo(ctx, frames_per_edge);
-  if (algo == CollectiveAlgo::kTreeReduce) {
-    broadcast_plan(
-        ctx,
-        CollectivePlan{kReduceBatch, static_cast<std::uint8_t>(algo), 0,
-                       frames_per_edge},
-        order);
-  }
   for (NodeId id : order) {
     if (ctx.liveness.origin_up(id)) {
       ctx.nodes[id].begin_batch_retraining(batches);
@@ -232,28 +158,15 @@ CommStats run_batch_retraining(const SessionContext& ctx,
       // park — recovery re-syncs via a fresh retrain; just record it.
       note_straggler(id);
     } else if (id != ctx.topology->root()) {
-      const NodeId dst = ctx.topology->parent(id);
-      if (algo == CollectiveAlgo::kTreeReduce) {
-        // Every per-(class, batch) hypervector in one fused frame,
-        // class-major batch-ascending — the order the p2p path posts.
-        ReducePartial fused{kReduceBatch, static_cast<std::uint32_t>(id), {}};
-        fused.sections.reserve(frames_per_edge);
-        for (std::size_t c = 0; c < ctx.num_classes; ++c) {
-          for (std::size_t b = 0; b < nb[c].size(); ++b) {
-            fused.sections.push_back(nb[c][b]);
-          }
-        }
-        ctx.bus->post(Envelope{kProtoVersion, id, dst, std::move(fused)});
-      } else {
-        for (std::size_t c = 0; c < ctx.num_classes; ++c) {
-          for (std::size_t b = 0; b < nb[c].size(); ++b) {
-            ctx.bus->post(Envelope{
-                kProtoVersion, id, dst,
-                BatchUpdate{static_cast<std::uint32_t>(c),
-                            static_cast<std::uint32_t>(b), nb[c][b]}});
-          }
-        }
+      // Every per-(class, batch) hypervector in one fused frame,
+      // class-major, batch-ascending.
+      ReducePartial fused{kReduceBatch, static_cast<std::uint32_t>(id), {}};
+      for (const auto& class_batches : nb) {
+        fused.sections.insert(fused.sections.end(), class_batches.begin(),
+                              class_batches.end());
       }
+      ctx.bus->post(Envelope{kProtoVersion, id, ctx.topology->parent(id),
+                             std::move(fused)});
     }
   }
   return comm;

@@ -14,6 +14,10 @@
 // charging scheme: a message is charged exactly when it would have crossed
 // a live link.
 //
+// Training moves models up as one fused ReducePartial frame per live edge
+// per phase (the node's k class accumulators, or every per-(class, batch)
+// accumulator), entropy-coded as a unit by the section codec.
+//
 // Sessions require a synchronous bus (LocalBus): every post must be
 // delivered before the parent's finish_* runs.
 #pragma once
@@ -23,7 +27,6 @@
 #include <vector>
 
 #include "bus.hpp"
-#include "collective.hpp"
 #include "net/liveness.hpp"
 #include "net/topology.hpp"
 #include "node_runtime.hpp"
@@ -51,13 +54,6 @@ struct SessionContext {
   std::vector<std::vector<hdc::AccumHV>>* pending_residuals = nullptr;
   /// Nodes whose contribution could not reach their parent, deepest-first.
   std::vector<net::NodeId>* stragglers = nullptr;
-  /// Collective-schedule configuration; nullptr or disabled runs the legacy
-  /// point-to-point schedule (see collective.hpp). When a collective
-  /// schedule is picked, the session announces it down the tree as a
-  /// CollectivePlan and every live child ships one fused ReducePartial per
-  /// phase instead of its per-(class, batch) frames. Straggler/parking rules
-  /// are identical — only the frame format changes.
-  const CollectiveConfig* collective = nullptr;
 
   /// A live node cut off from its parent parks this round's shipment.
   bool parked(net::NodeId id) const;
@@ -78,15 +74,16 @@ struct TrainData {
 };
 
 /// Initial training (Section IV-B): leaves bundle local class hypervectors,
-/// each live node ships its k class accumulators upward as ModelUpdate
-/// envelopes, parents aggregate what arrived. Clears and rebuilds the
-/// straggler list. Returns the phase's network charge.
+/// each live node ships its k class accumulators upward in one
+/// ReducePartial envelope, parents aggregate what arrived. Clears and
+/// rebuilds the straggler list. Returns the phase's network charge.
 CommStats run_initial_training(const SessionContext& ctx,
                                const TrainData& data);
 
 /// Batch retraining (Section IV-B): per-class batch hypervectors of size B
-/// travel up as BatchUpdate envelopes and drive perceptron retraining at
-/// every level. Appends (deduplicated) to the straggler list.
+/// travel up, one ReducePartial envelope per live edge (class-major,
+/// batch-ascending sections), and drive perceptron retraining at every
+/// level. Appends (deduplicated) to the straggler list.
 CommStats run_batch_retraining(const SessionContext& ctx,
                                const TrainData& data);
 

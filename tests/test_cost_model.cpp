@@ -1,12 +1,10 @@
-// Unit tests for the deployment cost model (src/core/cost_model.*) and the
-// collective-schedule cost model (src/proto/collective.*).
+// Unit tests for the deployment cost model (src/core/cost_model.*).
 #include <gtest/gtest.h>
 
 #include "core/cost_model.hpp"
 #include "data/dataset.hpp"
 #include "net/medium.hpp"
 #include "net/topology.hpp"
-#include "proto/collective.hpp"
 
 namespace {
 
@@ -14,8 +12,6 @@ using namespace edgehd;
 using core::CostModel;
 using core::Deployment;
 using core::WorkloadShape;
-using proto::CollectiveAlgo;
-using proto::CollectiveCostModel;
 
 WorkloadShape pamap_shape() {
   return WorkloadShape::from_spec(data::spec(data::DatasetId::kPamap2));
@@ -155,147 +151,6 @@ TEST(CostModel, WirelessSharedDomainHurtsDeepCentralizedTrees) {
   const auto deep = model.evaluate(
       Deployment::kHdFpga, net::Topology::uniform_depth(3, 5), wifi);
   EXPECT_GT(deep.train.time, shallow.train.time);
-}
-
-// ---- CollectiveCostModel ----------------------------------------------------
-
-/// Lab medium serializing exactly one byte per nanosecond (8e9 bps), so the
-/// closed forms below stay integer-exact: hop_time(F, S) = F*latency + S ns.
-net::Medium lab_medium(net::SimTime latency, bool shared) {
-  net::Medium m = net::medium(net::MediumKind::kWired1G);
-  m.bandwidth_bps = 8e9;
-  m.latency = latency;
-  m.shared_domain = shared;
-  return m;
-}
-
-TEST(CollectiveCost, StarReduceMatchesClosedForm) {
-  const auto topo = net::Topology::star(2);
-  const CollectiveCostModel wired(topo, lab_medium(100, false));
-  // One parent, two children: a wired parent serializes its own children,
-  // so the level drains in fan_in * (F*latency + ser(S)) = 2 * (300 + 1000).
-  const auto costs = wired.reduce_to_root(3, 1000);
-  EXPECT_EQ(costs.time, 2 * (3 * 100 + 1000));
-  EXPECT_EQ(costs.bytes, 2u * 1000);
-  const double per_edge_s = (3 * 100 + 1000) / 1e9;
-  EXPECT_DOUBLE_EQ(
-      costs.energy_j,
-      2 * (wired.medium().tx_power_w + wired.medium().rx_power_w) *
-          per_edge_s);
-  // Broadcast is the reduce at F = 1 by the per-hop model's symmetry.
-  const auto bc = wired.broadcast_from_root(1000);
-  EXPECT_EQ(bc.time, 2 * (100 + 1000));
-  EXPECT_EQ(bc.bytes, 2u * 1000);
-  // Nothing to ship, nothing charged.
-  EXPECT_EQ(wired.reduce_to_root(0, 1000).time, 0);
-  EXPECT_EQ(wired.reduce_to_root(0, 1000).bytes, 0u);
-}
-
-TEST(CollectiveCost, PaperTreeReduceSharedVsWired) {
-  // paper_tree(4): 4 leaf edges into 2 gateways, 2 gateway edges into the
-  // root. Wired levels drain at the slowest parent; a shared medium is one
-  // collision domain, so every edge of a level serializes.
-  const auto topo = net::Topology::paper_tree(4);
-  const std::int64_t e = 2 * 100 + 500;  // edge_time at F=2, S=500
-  const CollectiveCostModel wired(topo, lab_medium(100, false));
-  const auto w = wired.reduce_to_root(2, 500);
-  EXPECT_EQ(w.time, 2 * e + 2 * e);
-  EXPECT_EQ(w.bytes, 6u * 500);
-  const CollectiveCostModel shared(topo, lab_medium(100, true));
-  const auto s = shared.reduce_to_root(2, 500);
-  EXPECT_EQ(s.time, 4 * e + 2 * e);
-  EXPECT_EQ(s.bytes, w.bytes);
-  EXPECT_GT(s.time, w.time);
-}
-
-TEST(CollectiveCost, TwoPeerAllReduceClosedForms) {
-  const auto topo = net::Topology::star(2);
-  const CollectiveCostModel wired(topo, lab_medium(100, false));
-  // Ring, P=2: 2 rounds of half-payload chunks, every logical transfer
-  // relayed through the parent (two physical legs).
-  const auto ring = wired.all_reduce(CollectiveAlgo::kRingAllReduce, 2, 1000);
-  EXPECT_EQ(ring.time, 2 * 2 * (100 + 500));
-  EXPECT_EQ(ring.bytes, 4u * 2 * 500);
-  // Tree, P=2: 2 rounds of whole payloads, 2 logical transfers.
-  const auto tree = wired.all_reduce(CollectiveAlgo::kTreeAllReduce, 2, 1000);
-  EXPECT_EQ(tree.time, 2 * 2 * (100 + 1000));
-  EXPECT_EQ(tree.bytes, 2u * 2 * 1000);
-  // Degenerate inputs cost nothing; p2p is not an all-reduce schedule.
-  EXPECT_EQ(wired.all_reduce(CollectiveAlgo::kRingAllReduce, 1, 1000).bytes,
-            0u);
-  EXPECT_EQ(wired.all_reduce(CollectiveAlgo::kTreeAllReduce, 8, 0).time, 0);
-  EXPECT_THROW(wired.all_reduce(CollectiveAlgo::kPointToPoint, 4, 8),
-               std::invalid_argument);
-}
-
-TEST(CollectiveCost, MonotoneInLatencyBandwidthAndPayload) {
-  const auto topo = net::Topology::paper_tree(4);
-  for (const bool shared : {false, true}) {
-    const CollectiveCostModel base(topo, lab_medium(1000, shared));
-    const CollectiveCostModel slower(topo, lab_medium(2000, shared));
-    auto narrow_m = lab_medium(1000, shared);
-    narrow_m.bandwidth_bps /= 4;
-    const CollectiveCostModel narrow(topo, narrow_m);
-    for (const std::uint64_t frames : {1u, 5u}) {
-      const auto ref = base.reduce_to_root(frames, 4096);
-      EXPECT_GT(slower.reduce_to_root(frames, 4096).time, ref.time);
-      EXPECT_GT(narrow.reduce_to_root(frames, 4096).time, ref.time);
-      EXPECT_GT(base.reduce_to_root(frames, 8192).time, ref.time);
-      EXPECT_GT(base.reduce_to_root(frames + 1, 4096).time, ref.time);
-      EXPECT_GT(base.reduce_to_root(frames, 8192).energy_j, ref.energy_j);
-    }
-    for (const auto algo :
-         {CollectiveAlgo::kRingAllReduce, CollectiveAlgo::kTreeAllReduce}) {
-      const auto ref = base.all_reduce(algo, 4, 4096);
-      EXPECT_GT(slower.all_reduce(algo, 4, 4096).time, ref.time);
-      EXPECT_GT(narrow.all_reduce(algo, 4, 4096).time, ref.time);
-      EXPECT_GE(base.all_reduce(algo, 4, 8192).time, ref.time);
-      EXPECT_GT(base.all_reduce(algo, 4, 8192).bytes, ref.bytes);
-    }
-  }
-}
-
-TEST(CollectiveCost, PickReducePrefersFusionOnlyWhenFramesAmortizeThePlan) {
-  const auto topo = net::Topology::paper_tree(4);
-  const CollectiveCostModel m(topo, lab_medium(net::kMillisecond, true));
-  // One frame per edge: fusing saves nothing and still pays the plan
-  // broadcast, so the legacy flow wins (ties also break to kPointToPoint).
-  EXPECT_EQ(m.pick_reduce(1, 4096, 4096), CollectiveAlgo::kPointToPoint);
-  // Many frames per edge amortize the plan: one fused frame per edge wins
-  // even with zero payload savings, on latency alone.
-  EXPECT_EQ(m.pick_reduce(10, 40960, 40960), CollectiveAlgo::kTreeReduce);
-  // Deterministic argmin: same inputs, same answer, every time.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(m.pick_reduce(10, 40960, 40960), CollectiveAlgo::kTreeReduce);
-    EXPECT_EQ(m.pick_reduce(1, 4096, 4096), CollectiveAlgo::kPointToPoint);
-  }
-}
-
-TEST(CollectiveCost, PickAllReduceFollowsPayloadAndMedium) {
-  // Shared medium: ring and tree move the same total bytes (2(P-1)S worth
-  // of chunks vs 2(P-1) whole payloads), but the ring pays P times the
-  // per-frame latencies — the binomial tree always wins the collision
-  // domain.
-  const auto topo = net::Topology::star(8);
-  const CollectiveCostModel shared(topo, lab_medium(1000, true));
-  EXPECT_EQ(shared.pick_all_reduce(8, 1u << 20),
-            CollectiveAlgo::kTreeAllReduce);
-  EXPECT_EQ(shared.pick_all_reduce(8, 64), CollectiveAlgo::kTreeAllReduce);
-  // Wired: rounds run in parallel, so the bandwidth term is 2(P-1)S/P for
-  // the ring vs 2 ceil(log2 P) S for the tree — the ring wins big payloads,
-  // the tree wins the latency-bound small ones.
-  const CollectiveCostModel wired(topo, lab_medium(1000, false));
-  EXPECT_EQ(wired.pick_all_reduce(8, 1u << 20),
-            CollectiveAlgo::kRingAllReduce);
-  EXPECT_EQ(wired.pick_all_reduce(8, 8), CollectiveAlgo::kTreeAllReduce);
-  // Equal time at P=2 with a 1-byte payload (the half chunk rounds back up
-  // to a whole byte): the argmin falls through to energy, where the tree's
-  // fewer transfers win — deterministically.
-  EXPECT_EQ(wired.pick_all_reduce(2, 1), CollectiveAlgo::kTreeAllReduce);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(wired.pick_all_reduce(8, 1u << 20),
-              CollectiveAlgo::kRingAllReduce);
-  }
 }
 
 }  // namespace
