@@ -120,22 +120,44 @@ bool read_bipolar(ByteReader& r, hdc::BipolarHV& out) {
   return true;
 }
 
+// ---- section-coded class sets: u32 count, u32 dim each, section bodies ----
+
+void write_framed_sections(ByteWriter& w,
+                           std::span<const hdc::AccumHV> sections) {
+  w.u32(static_cast<std::uint32_t>(sections.size()));
+  for (const auto& s : sections) w.u32(static_cast<std::uint32_t>(s.size()));
+  write_sections(w, sections);
+}
+
+bool read_framed_sections(ByteReader& r, std::vector<hdc::AccumHV>& out) {
+  std::uint32_t count = 0;
+  if (!r.u32(count)) return false;
+  if (count > kMaxWireDim) return false;
+  // Dims are framing; their sum is capped like a single accumulator's dim
+  // so a corrupt count can never drive a huge allocation.
+  std::vector<std::uint32_t> dims;
+  std::uint64_t total_lanes = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t dim = 0;
+    if (!r.u32(dim)) return false;
+    if (dim > kMaxWireDim) return false;
+    total_lanes += dim;
+    if (total_lanes > kMaxWireDim) return false;
+    dims.push_back(dim);
+  }
+  return read_sections(r, dims, out);
+}
+
 // ---- per-type payload codecs ---------------------------------------------
 
 void write_payload(ByteWriter& w, const Message& msg) {
   std::visit(
       [&w](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ModelUpdate>) {
-          w.u32(m.class_id);
-          write_accum(w, m.accum);
-        } else if constexpr (std::is_same_v<T, BatchUpdate>) {
+        if constexpr (std::is_same_v<T, BatchUpdate>) {
           w.u32(m.class_id);
           w.u32(m.batch_id);
           write_accum(w, m.accum);
-        } else if constexpr (std::is_same_v<T, ResidualMerge>) {
-          w.u32(m.class_id);
-          write_accum(w, m.residual);
         } else if constexpr (std::is_same_v<T, QueryEscalate>) {
           w.u64(m.query_id);
           w.u32(m.hops);
@@ -158,17 +180,12 @@ void write_payload(ByteWriter& w, const Message& msg) {
           w.u64(m.incarnation);
           w.u8(m.planned);
         } else if constexpr (std::is_same_v<T, StateSync>) {
-          w.u32(m.class_id);
           w.u64(m.incarnation);
-          write_accum(w, m.accum);
+          write_framed_sections(w, m.sections);
         } else if constexpr (std::is_same_v<T, ReducePartial>) {
           w.u8(m.phase);
           w.u32(m.origin);
-          w.u32(static_cast<std::uint32_t>(m.sections.size()));
-          for (const auto& s : m.sections) {
-            w.u32(static_cast<std::uint32_t>(s.size()));
-          }
-          write_sections(w, m.sections);
+          write_framed_sections(w, m.sections);
         } else {
           // DimensionPatch. Canonical form (enforced on decode): dims
           // strictly ascending; generations empty for the request form and
@@ -188,24 +205,12 @@ void write_payload(ByteWriter& w, const Message& msg) {
 
 bool read_payload(ByteReader& r, MsgType type, Message& out) {
   switch (type) {
-    case MsgType::kModelUpdate: {
-      ModelUpdate m;
-      if (!r.u32(m.class_id) || !read_accum(r, m.accum)) return false;
-      out = std::move(m);
-      return true;
-    }
     case MsgType::kBatchUpdate: {
       BatchUpdate m;
       if (!r.u32(m.class_id) || !r.u32(m.batch_id) ||
           !read_accum(r, m.accum)) {
         return false;
       }
-      out = std::move(m);
-      return true;
-    }
-    case MsgType::kResidualMerge: {
-      ResidualMerge m;
-      if (!r.u32(m.class_id) || !read_accum(r, m.residual)) return false;
       out = std::move(m);
       return true;
     }
@@ -250,8 +255,7 @@ bool read_payload(ByteReader& r, MsgType type, Message& out) {
     }
     case MsgType::kStateSync: {
       StateSync m;
-      if (!r.u32(m.class_id) || !r.u64(m.incarnation) ||
-          !read_accum(r, m.accum)) {
+      if (!r.u64(m.incarnation) || !read_framed_sections(r, m.sections)) {
         return false;
       }
       out = std::move(m);
@@ -259,22 +263,10 @@ bool read_payload(ByteReader& r, MsgType type, Message& out) {
     }
     case MsgType::kReducePartial: {
       ReducePartial m;
-      std::uint32_t count = 0;
-      if (!r.u8(m.phase) || !r.u32(m.origin) || !r.u32(count)) return false;
-      if (count > kMaxWireDim) return false;
-      // Dims are framing; their sum is capped like a single accumulator's
-      // dim so a corrupt count can never drive a huge allocation.
-      std::vector<std::uint32_t> dims;
-      std::uint64_t total_lanes = 0;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint32_t dim = 0;
-        if (!r.u32(dim)) return false;
-        if (dim > kMaxWireDim) return false;
-        total_lanes += dim;
-        if (total_lanes > kMaxWireDim) return false;
-        dims.push_back(dim);
+      if (!r.u8(m.phase) || !is_reduce_phase(m.phase) || !r.u32(m.origin) ||
+          !read_framed_sections(r, m.sections)) {
+        return false;
       }
-      if (!read_sections(r, dims, m.sections)) return false;
       out = std::move(m);
       return true;
     }

@@ -12,10 +12,11 @@
 //   16      ...   payload (type-specific, see messages.hpp)
 //
 // Payload encodings reuse the hdc wire conventions: bipolar hypervectors are
-// bit-packed at 1 bit/dimension (hdc::pack_bipolar) and integer accumulators
-// are bit-packed two's-complement at bits_for_magnitude() width — so an
-// encoded payload is exactly wire_size(msg) bytes plus a small fixed
-// dimension/width prefix.
+// bit-packed at 1 bit/dimension (hdc::pack_bipolar), single integer
+// accumulators are bit-packed two's-complement at bits_for_magnitude()
+// width, and class sets (ReducePartial, StateSync) are section-coded as a
+// unit (section_codec.hpp) — so an encoded payload is exactly wire_size(msg)
+// bytes plus small fixed framing (counts, dimensions, widths).
 //
 // decode() is total: any truncated, corrupt or version-mismatched buffer
 // yields a typed DecodeError (never UB, never an unbounded allocation). The

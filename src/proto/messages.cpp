@@ -7,19 +7,20 @@
 namespace edgehd::proto {
 
 bool is_msg_type(std::uint8_t byte) noexcept {
-  return byte >= static_cast<std::uint8_t>(MsgType::kModelUpdate) &&
+  return byte >= static_cast<std::uint8_t>(MsgType::kBatchUpdate) &&
          byte <= static_cast<std::uint8_t>(MsgType::kDimensionPatch) &&
-         byte != 11;  // unassigned
+         byte != 3 && byte != 11;  // unassigned
+}
+
+bool is_reduce_phase(std::uint8_t byte) noexcept {
+  return byte == kReduceInitial || byte == kReduceBatch ||
+         byte == kReduceResidual || byte == kReduceReintegration;
 }
 
 const char* to_string(MsgType type) noexcept {
   switch (type) {
-    case MsgType::kModelUpdate:
-      return "model_update";
     case MsgType::kBatchUpdate:
       return "batch_update";
-    case MsgType::kResidualMerge:
-      return "residual_merge";
     case MsgType::kQueryEscalate:
       return "query_escalate";
     case MsgType::kQueryReply:
@@ -44,12 +45,8 @@ MsgType type_of(const Message& msg) noexcept {
   return std::visit(
       [](const auto& m) -> MsgType {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ModelUpdate>) {
-          return MsgType::kModelUpdate;
-        } else if constexpr (std::is_same_v<T, BatchUpdate>) {
+        if constexpr (std::is_same_v<T, BatchUpdate>) {
           return MsgType::kBatchUpdate;
-        } else if constexpr (std::is_same_v<T, ResidualMerge>) {
-          return MsgType::kResidualMerge;
         } else if constexpr (std::is_same_v<T, QueryEscalate>) {
           return MsgType::kQueryEscalate;
         } else if constexpr (std::is_same_v<T, QueryReply>) {
@@ -85,12 +82,8 @@ std::uint64_t wire_size(const Message& msg) noexcept {
   return std::visit(
       [](const auto& m) -> std::uint64_t {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ModelUpdate>) {
+        if constexpr (std::is_same_v<T, BatchUpdate>) {
           return accum_wire_size(m.accum);
-        } else if constexpr (std::is_same_v<T, BatchUpdate>) {
-          return accum_wire_size(m.accum);
-        } else if constexpr (std::is_same_v<T, ResidualMerge>) {
-          return accum_wire_size(m.residual);
         } else if constexpr (std::is_same_v<T, QueryEscalate>) {
           return bipolar_wire_size(m.query.size());
         } else if constexpr (std::is_same_v<T, QueryReply>) {
@@ -105,9 +98,9 @@ std::uint64_t wire_size(const Message& msg) noexcept {
         } else if constexpr (std::is_same_v<T, NodeLeave>) {
           return 8 + 1;  // incarnation + planned flag
         } else if constexpr (std::is_same_v<T, StateSync>) {
-          // incarnation tag + the reintegration delta (class_id is framing,
-          // same as ModelUpdate).
-          return 8 + accum_wire_size(m.accum);
+          // incarnation tag + the entropy-coded section bodies (framed like
+          // ReducePartial's).
+          return 8 + sections_wire_size(m.sections);
         } else if constexpr (std::is_same_v<T, ReducePartial>) {
           // The entropy-coded section bodies; phase/origin/section counts
           // and dims are framing, matching how write_accum's dim/width

@@ -2,12 +2,8 @@
 //
 // Everything that crosses a link in the hierarchy is one of these messages:
 //
-//   ModelUpdate    — one class hypervector shipped child -> parent during
-//                    straggler reintegration;
 //   BatchUpdate    — one per-class batch hypervector of size B (a wire
 //                    type only: training ships batches in ReducePartial);
-//   ResidualMerge  — one class residual hypervector propagated upward by the
-//                    online-updating protocol (Figure 5b);
 //   QueryEscalate  — a query hypervector escalating to an ancestor
 //                    classifier during routed inference;
 //   QueryReply     — the serving node's answer travelling back to the
@@ -19,21 +15,25 @@
 //                    incarnation;
 //   NodeLeave      — a node's departure being recorded (planned shutdown or
 //                    a detector's death declaration);
-//   StateSync      — one class accumulator re-synced during the rejoin
-//                    session (the reintegration delta, tagged with the
-//                    rejoiner's incarnation so stale syncs are rejected);
-//   ReducePartial  — a node's entire per-phase training contribution fused
-//                    into one frame and entropy-coded as a unit (see
-//                    section_codec.hpp): how models move up in initial
-//                    training and batch retraining;
+//   StateSync      — a child's k class accumulators re-synced during the
+//                    rejoin session, section-coded like ReducePartial and
+//                    tagged with the rejoiner's incarnation so stale syncs
+//                    are rejected;
+//   ReducePartial  — a node's class set for one session fused into one
+//                    frame and entropy-coded as a unit (see
+//                    section_codec.hpp): how models, batches, residuals and
+//                    reintegration deltas move up, one frame per hop;
 //   DimensionPatch — a regenerated-dimension request or delta (DESIGN.md
 //                    §14).
 //
 // This header also owns the *canonical byte accounting*: wire_size() is the
 // single source of truth for what a message costs on the air — the quantity
-// every CommStats total and the analytic cost model normalize against. The
-// helpers below replace the per-phase copies that used to live in
-// core/edgehd.cpp, core/cost_model.cpp and bench/bench_faults.cpp.
+// every CommStats total normalizes against. The analytic cost model
+// (core/cost_model.hpp) prices fixed-width per-accumulator payloads
+// (accum_wire_size per class or per batch), an upper bound the
+// section-coded frames undercut. The helpers below replace the per-phase
+// copies that used to live in core/edgehd.cpp, core/cost_model.cpp and
+// bench/bench_faults.cpp.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +46,9 @@ namespace edgehd::proto {
 
 /// Wire discriminator of a message (one byte in the envelope header).
 enum class MsgType : std::uint8_t {
-  kModelUpdate = 1,
+  // 1 and 3 are unassigned (retired per-class model and residual frames);
+  // decode rejects them.
   kBatchUpdate = 2,
-  kResidualMerge = 3,
   kQueryEscalate = 4,
   kQueryReply = 5,
   kHealthProbe = 6,
@@ -63,18 +63,9 @@ enum class MsgType : std::uint8_t {
 /// True for the bytes that name a MsgType; decode rejects every other byte.
 bool is_msg_type(std::uint8_t byte) noexcept;
 
-/// Human-readable message-type name ("model_update", ...); also the label
+/// Human-readable message-type name ("batch_update", ...); also the label
 /// used by the per-type "proto.<name>.*" metrics.
 const char* to_string(MsgType type) noexcept;
-
-/// One class hypervector moving child -> parent (initial training; also the
-/// straggler-reintegration delta, which is the same linear object).
-struct ModelUpdate {
-  std::uint32_t class_id = 0;
-  hdc::AccumHV accum;
-
-  friend bool operator==(const ModelUpdate&, const ModelUpdate&) = default;
-};
 
 /// One per-class batch hypervector (batch retraining, Section IV-B).
 struct BatchUpdate {
@@ -83,14 +74,6 @@ struct BatchUpdate {
   hdc::AccumHV accum;
 
   friend bool operator==(const BatchUpdate&, const BatchUpdate&) = default;
-};
-
-/// One class residual hypervector (online updating, Section IV-D).
-struct ResidualMerge {
-  std::uint32_t class_id = 0;
-  hdc::AccumHV residual;
-
-  friend bool operator==(const ResidualMerge&, const ResidualMerge&) = default;
 };
 
 /// A query hypervector escalating to an ancestor classifier (Section IV-C).
@@ -150,28 +133,35 @@ struct NodeLeave {
   friend bool operator==(const NodeLeave&, const NodeLeave&) = default;
 };
 
-/// One class accumulator re-synced during a rejoin session. The same linear
-/// object as a ModelUpdate delta, tagged with the rejoiner's incarnation so
-/// an ancestor can reject a sync from a superseded life of the node.
+/// A child's k class accumulators re-synced during a rejoin session, one
+/// frame per (child, hop), its sections coded like ReducePartial's. Tagged
+/// with the rejoiner's incarnation so an ancestor can reject a sync from a
+/// superseded life of the node.
 struct StateSync {
-  std::uint32_t class_id = 0;
   std::uint64_t incarnation = 0;
-  hdc::AccumHV accum;
+  std::vector<hdc::AccumHV> sections;
 
   friend bool operator==(const StateSync&, const StateSync&) = default;
 };
 
-// ---- fused training frames -------------------------------------------------
+// ---- fused class-set frames ------------------------------------------------
 
-/// ReducePartial::phase values: which training session a fused frame
-/// belongs to (any other value is a protocol violation at the receiver).
+/// ReducePartial::phase values: which session a fused frame belongs to.
+/// decode rejects any other byte; 2 and 3 are unassigned (retired
+/// schedules).
 inline constexpr std::uint8_t kReduceInitial = 0;  ///< initial training
 inline constexpr std::uint8_t kReduceBatch = 1;    ///< batch retraining
+inline constexpr std::uint8_t kReduceResidual = 4;  ///< residual propagation
+inline constexpr std::uint8_t kReduceReintegration = 5;  ///< reintegration
 
-/// A node's entire per-phase training contribution — every class
-/// accumulator (initial training) or every per-(class, batch) accumulator,
-/// class-major and batch-ascending (retraining) — fused into one frame
-/// whose sections are entropy-coded as a unit by the section codec.
+/// True for the bytes that name a ReducePartial phase.
+bool is_reduce_phase(std::uint8_t byte) noexcept;
+
+/// A node's entire contribution to one session hop fused into one frame
+/// whose sections are entropy-coded as a unit by the section codec: its k
+/// class accumulators (initial training), k residual bundles (residual
+/// propagation) or k lifted deltas (reintegration), or every per-(class,
+/// batch) accumulator, class-major and batch-ascending (batch retraining).
 /// `origin` is the contributing node.
 struct ReducePartial {
   std::uint8_t phase = kReduceInitial;
@@ -190,7 +180,7 @@ struct ReducePartial {
 ///     the per-class accumulator deltas of exactly the regenerated
 ///     dimensions, plus the generation counter each projection row was
 ///     re-derived at. Ancestors apply the k-column delta in place instead of
-///     receiving full D-dimensional ModelUpdates.
+///     receiving full D-dimensional class accumulators.
 ///
 /// `dims` is strictly ascending (canonical form, enforced on decode); each
 /// column has dims.size() entries, columns[c] belonging to class c.
@@ -207,17 +197,16 @@ struct DimensionPatch {
                          const DimensionPatch&) = default;
 };
 
-using Message = std::variant<ModelUpdate, BatchUpdate, ResidualMerge,
-                             QueryEscalate, QueryReply, HealthProbe, NodeJoin,
-                             NodeLeave, StateSync, ReducePartial,
-                             DimensionPatch>;
+using Message =
+    std::variant<BatchUpdate, QueryEscalate, QueryReply, HealthProbe, NodeJoin,
+                 NodeLeave, StateSync, ReducePartial, DimensionPatch>;
 
 MsgType type_of(const Message& msg) noexcept;
 
 // ---- canonical byte accounting --------------------------------------------
 
 /// Bytes of one integer accumulator hypervector sized to its actual
-/// magnitude (the class/batch/residual payload cost).
+/// magnitude (the BatchUpdate and DimensionPatch column payload cost).
 inline std::uint64_t accum_wire_size(
     std::span<const std::int32_t> acc) noexcept {
   return hdc::wire_bytes_accum(acc);

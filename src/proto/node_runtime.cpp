@@ -93,32 +93,24 @@ void NodeRuntime::require_phase(Phase expected, const char* what) const {
   }
 }
 
+void NodeRuntime::file_class_set(net::NodeId src,
+                                 const std::vector<AccumHV>& sections,
+                                 const char* what) {
+  if (sections.size() != num_classes_) {
+    throw std::logic_error(std::string("NodeRuntime: ") + what +
+                           " section count != num_classes");
+  }
+  inbox_[child_index(src)] = sections;
+}
+
 void NodeRuntime::on_envelope(const Envelope& env) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ModelUpdate>) {
-          if (phase_ != Phase::kInitialTraining &&
-              phase_ != Phase::kReintegration) {
-            require_phase(Phase::kInitialTraining, "ModelUpdate");
-          }
-          if (m.class_id >= num_classes_) {
-            throw std::logic_error("NodeRuntime: ModelUpdate class id out of "
-                                   "range");
-          }
-          inbox_[child_index(env.src)][m.class_id] = m.accum;
-        } else if constexpr (std::is_same_v<T, BatchUpdate>) {
+        if constexpr (std::is_same_v<T, BatchUpdate>) {
           throw std::logic_error(
               "NodeRuntime: BatchUpdate is not part of any protocol phase "
               "(retraining ships ReducePartial)");
-        } else if constexpr (std::is_same_v<T, ResidualMerge>) {
-          require_phase(Phase::kResidualPropagation, "ResidualMerge");
-          if (m.class_id >= num_classes_) {
-            throw std::logic_error("NodeRuntime: ResidualMerge class id out "
-                                   "of range");
-          }
-          inbox_[child_index(env.src)][m.class_id] = m.residual;
-          residual_any_child_ = true;
         } else if constexpr (std::is_same_v<T, HealthProbe>) {
           ++probes_received_;
         } else if constexpr (std::is_same_v<T, NodeJoin>) {
@@ -132,61 +124,61 @@ void NodeRuntime::on_envelope(const Envelope& env) {
         } else if constexpr (std::is_same_v<T, NodeLeave>) {
           ++leaves_received_;
         } else if constexpr (std::is_same_v<T, StateSync>) {
-          // A rejoin delta: same linear object as a ModelUpdate, but tagged
-          // with the sender's incarnation — a sync from a superseded life
-          // of the node is a protocol violation. Accepted while rebuilding
-          // (initial training) and while lifting hop by hop (reintegration).
-          if (phase_ != Phase::kInitialTraining &&
-              phase_ != Phase::kReintegration) {
-            require_phase(Phase::kReintegration, "StateSync");
-          }
-          if (m.class_id >= num_classes_) {
-            throw std::logic_error("NodeRuntime: StateSync class id out of "
-                                   "range");
-          }
+          // A child's checkpoint feeding a rejoin rebuild (initial training),
+          // tagged with the sender's incarnation — a sync from a superseded
+          // life of the node is a protocol violation.
+          require_phase(Phase::kInitialTraining, "StateSync");
           if (env.src < incarnations_.size() &&
               m.incarnation < incarnations_[env.src]) {
             throw std::logic_error("NodeRuntime: StateSync from a superseded "
                                    "incarnation");
           }
-          inbox_[child_index(env.src)][m.class_id] = m.accum;
+          file_class_set(env.src, m.sections, "StateSync");
         } else if constexpr (std::is_same_v<T, ReducePartial>) {
-          // A fused frame: the sender's entire per-phase contribution in one
-          // envelope, scattered into the phase's [child][class] or
+          // A fused frame: the sender's entire contribution to this hop in
+          // one envelope, scattered into the phase's [child][class] or
           // [child][class][batch] inbox.
-          if (m.phase == kReduceInitial) {
-            require_phase(Phase::kInitialTraining, "ReducePartial(initial)");
-            if (m.sections.size() != num_classes_) {
-              throw std::logic_error(
-                  "NodeRuntime: ReducePartial(initial) section count != "
-                  "num_classes");
-            }
-            auto& slot = inbox_[child_index(env.src)];
-            for (std::size_t c = 0; c < num_classes_; ++c) {
-              slot[c] = m.sections[c];
-            }
-          } else if (m.phase == kReduceBatch) {
-            require_phase(Phase::kBatchRetraining, "ReducePartial(batch)");
-            auto& slot = batch_inbox_[child_index(env.src)];
-            std::size_t expected = 0;
-            for (std::size_t c = 0; c < num_classes_; ++c) {
-              expected += slot[c].size();
-            }
-            if (m.sections.size() != expected) {
-              throw std::logic_error(
-                  "NodeRuntime: ReducePartial(batch) section count != total "
-                  "batches");
-            }
-            // Class-major, batch-ascending.
-            std::size_t s = 0;
-            for (std::size_t c = 0; c < num_classes_; ++c) {
-              for (std::size_t b = 0; b < slot[c].size(); ++b) {
-                slot[c][b] = m.sections[s++];
+          switch (m.phase) {
+            case kReduceInitial:
+              require_phase(Phase::kInitialTraining, "ReducePartial(initial)");
+              file_class_set(env.src, m.sections, "ReducePartial(initial)");
+              break;
+            case kReduceResidual:
+              require_phase(Phase::kResidualPropagation,
+                            "ReducePartial(residual)");
+              file_class_set(env.src, m.sections, "ReducePartial(residual)");
+              residual_any_child_ = true;
+              break;
+            case kReduceReintegration:
+              require_phase(Phase::kReintegration,
+                            "ReducePartial(reintegration)");
+              file_class_set(env.src, m.sections,
+                             "ReducePartial(reintegration)");
+              break;
+            case kReduceBatch: {
+              require_phase(Phase::kBatchRetraining, "ReducePartial(batch)");
+              auto& slot = batch_inbox_[child_index(env.src)];
+              std::size_t expected = 0;
+              for (std::size_t c = 0; c < num_classes_; ++c) {
+                expected += slot[c].size();
               }
+              if (m.sections.size() != expected) {
+                throw std::logic_error(
+                    "NodeRuntime: ReducePartial(batch) section count != "
+                    "total batches");
+              }
+              // Class-major, batch-ascending.
+              std::size_t s = 0;
+              for (std::size_t c = 0; c < num_classes_; ++c) {
+                for (std::size_t b = 0; b < slot[c].size(); ++b) {
+                  slot[c][b] = m.sections[s++];
+                }
+              }
+              break;
             }
-          } else {
-            throw std::logic_error(
-                "NodeRuntime: ReducePartial with unknown training phase");
+            default:
+              throw std::logic_error(
+                  "NodeRuntime: ReducePartial with unknown phase");
           }
         } else if constexpr (std::is_same_v<T, DimensionPatch>) {
           require_phase(Phase::kDimensionRegen, "DimensionPatch");

@@ -101,11 +101,13 @@ class NodeRuntime {
   // ---- envelope consumption -----------------------------------------------
 
   /// Consumes one delivered envelope. Model-bearing messages must arrive in
-  /// their phase (ReducePartial in initial training or batch retraining,
-  /// ModelUpdate in initial training or reintegration, ResidualMerge in
-  /// residual propagation) and from a topological child — anything else,
-  /// including a BatchUpdate (no phase takes one), throws std::logic_error.
-  /// Query/probe messages are counted and dropped.
+  /// their phase — ReducePartial in the phase its tag names (initial
+  /// training, batch retraining, residual propagation, reintegration),
+  /// StateSync in initial training (the rejoin rebuild) — from a
+  /// topological child, with one section per class (per (class, batch) for
+  /// batch retraining). Anything else, including a BatchUpdate (no phase
+  /// takes one), throws std::logic_error. Query/probe messages are counted
+  /// and dropped.
   void on_envelope(const Envelope& env);
 
   std::uint64_t probes_received() const noexcept { return probes_received_; }
@@ -207,6 +209,11 @@ class NodeRuntime {
  private:
   std::size_t child_index(net::NodeId child) const;
   std::size_t child_dim(std::size_t child_idx) const;
+  /// Files a child's k class accumulators into the class inbox; throws
+  /// unless there is exactly one section per class.
+  void file_class_set(net::NodeId src,
+                      const std::vector<hdc::AccumHV>& sections,
+                      const char* what);
   /// Aggregates one class across the child inbox, zeros where absent.
   hdc::AccumHV aggregate_inbox(std::size_t c) const;
   void require_phase(Phase expected, const char* what) const;
@@ -230,7 +237,7 @@ class NodeRuntime {
   /// Batch inbox, [child][class][batch]; empty = absent.
   std::vector<std::vector<std::vector<hdc::AccumHV>>> batch_inbox_;
   const ClassBatches* batches_ = nullptr;  ///< session-owned, retraining only
-  bool residual_any_child_ = false;        ///< any ResidualMerge delivered?
+  bool residual_any_child_ = false;        ///< any residual frame delivered?
   /// Dimension-regeneration workspace: the dims assigned to this node, the
   /// session round tag, and one delivered patch slot per child (empty dims
   /// marks an absent contribution).

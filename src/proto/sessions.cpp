@@ -66,16 +66,6 @@ std::span<const hdc::BipolarHV> leaf_samples(const SessionContext& ctx,
   return (*data.encoded)[id];
 }
 
-void post_class_set(const SessionContext& ctx, NodeId src,
-                    const std::vector<AccumHV>& accums) {
-  const NodeId dst = ctx.topology->parent(src);
-  for (std::size_t c = 0; c < accums.size(); ++c) {
-    ctx.bus->post(Envelope{
-        kProtoVersion, src, dst,
-        ModelUpdate{static_cast<std::uint32_t>(c), accums[c]}});
-  }
-}
-
 }  // namespace
 
 CommStats run_initial_training(const SessionContext& ctx,
@@ -198,12 +188,11 @@ CommStats run_residual_propagation(const SessionContext& ctx) {
     if (ctx.parked(id)) {
       pending = std::move(ship);
     } else if (id != ctx.topology->root()) {
-      const NodeId dst = ctx.topology->parent(id);
-      for (std::size_t c = 0; c < ctx.num_classes; ++c) {
-        ctx.bus->post(Envelope{
-            kProtoVersion, id, dst,
-            ResidualMerge{static_cast<std::uint32_t>(c), ship[c]}});
-      }
+      // The k residual bundles in one entropy-coded frame.
+      ctx.bus->post(Envelope{
+          kProtoVersion, id, ctx.topology->parent(id),
+          ReducePartial{kReduceResidual, static_cast<std::uint32_t>(id),
+                        std::move(ship)}});
     }
   }
   return comm;
@@ -226,10 +215,13 @@ CommStats run_reintegration(const SessionContext& ctx) {
       const NodeId parent = ctx.topology->parent(child);
       NodeRuntime& prt = ctx.nodes[parent];
       prt.begin_reintegration();
-      // Ship the delta one hop up (k class hypervectors, like training);
-      // the parent lifts it through its aggregator and folds it into its
-      // model.
-      post_class_set(ctx, child, cur);
+      // Ship the delta one hop up (k class hypervectors in one frame, like
+      // training); the parent lifts it through its aggregator and folds it
+      // into its model.
+      ctx.bus->post(Envelope{
+          kProtoVersion, child, parent,
+          ReducePartial{kReduceReintegration,
+                        static_cast<std::uint32_t>(child), std::move(cur)}});
       cur = prt.finish_reintegration(child);
       child = parent;
     }
@@ -268,54 +260,41 @@ CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
     list.erase(std::remove(list.begin(), list.end(), id), list.end());
   };
 
-  // 2. Rebuild local state. A leaf re-bundles its own samples; an internal
-  //    node aggregates its reachable children's checkpoints, delivered as
-  //    StateSync envelopes (an unreachable child contributes zeros and stays
-  //    a straggler). Exact by determinism: the same inputs reproduce the
-  //    same accumulators the lost life computed.
-  NodeRuntime& me = ctx.nodes[rejoined];
-  me.begin_initial_training();
+  // Rebuilds `node` from its delivering children's checkpoints, one
+  // StateSync frame per child (an unreachable child contributes zeros and
+  // stays a straggler), and records every synced child.
   std::vector<NodeId> synced_kids;
-  if (!ctx.topology->is_leaf(rejoined)) {
-    for (NodeId kid : ctx.topology->children(rejoined)) {
+  auto rebuild = [&](NodeId node) {
+    NodeRuntime& rt = ctx.nodes[node];
+    rt.begin_initial_training();
+    for (NodeId kid : ctx.topology->children(node)) {
       if (!ctx.liveness.delivers(kid)) continue;
-      const auto state = ctx.nodes[kid].checkpoint_state();
+      auto state = ctx.nodes[kid].checkpoint_state();
       if (state.empty()) continue;  // child never trained — nothing to sync
-      for (std::size_t c = 0; c < state.size(); ++c) {
-        ctx.bus->post(Envelope{
-            kProtoVersion, kid, rejoined,
-            StateSync{static_cast<std::uint32_t>(c),
-                      me.known_incarnation(kid), state[c]}});
-      }
-      synced_kids.push_back(kid);
+      ctx.bus->post(Envelope{
+          kProtoVersion, kid, node,
+          StateSync{rt.known_incarnation(kid), std::move(state)}});
+      if (kid != rejoined) synced_kids.push_back(kid);
     }
-  }
-  me.finish_initial_training(leaf_samples(ctx, data, rejoined), data.labels);
+    rt.finish_initial_training(leaf_samples(ctx, data, node), data.labels);
+  };
+
+  // 2. Rebuild local state. A leaf re-bundles its own samples; an internal
+  //    node aggregates its reachable children's checkpoints. Exact by
+  //    determinism: the same inputs reproduce the same accumulators the
+  //    lost life computed.
+  rebuild(rejoined);
 
   // 3. Re-synchronize every ancestor on the path from its delivering
   //    children's full checkpoints, one aggregation pass per hop (StateSync
-  //    envelopes, so every hop validates generations). A delta-lift through
+  //    frames, so every hop validates generations). A delta-lift through
   //    the reintegration machinery would be cheaper on the wire, but the
   //    projection's integer rescale truncates — aggregate(a + b) can differ
   //    from aggregate(a) + aggregate(b) by one unit per element — so only a
   //    full rebuild reproduces the never-failed aggregation bit-exactly.
   for (NodeId hop = ctx.topology->parent(rejoined);;
        hop = ctx.topology->parent(hop)) {
-    NodeRuntime& prt = ctx.nodes[hop];
-    prt.begin_initial_training();
-    for (NodeId kid : ctx.topology->children(hop)) {
-      if (!ctx.liveness.delivers(kid)) continue;
-      const auto state = ctx.nodes[kid].checkpoint_state();
-      if (state.empty()) continue;  // child never trained — nothing to sync
-      for (std::size_t c = 0; c < state.size(); ++c) {
-        ctx.bus->post(Envelope{
-            kProtoVersion, kid, hop,
-            StateSync{static_cast<std::uint32_t>(c),
-                      prt.known_incarnation(kid), state[c]}});
-      }
-      if (kid != rejoined) synced_kids.push_back(kid);
-    }
-    prt.finish_initial_training(leaf_samples(ctx, data, hop), data.labels);
+    rebuild(hop);
     if (hop == root) break;
   }
 
@@ -407,7 +386,7 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
 
   // Bottom-up: leaves re-derive + re-encode, ancestors lift and merge;
   // every node applies its delta in place and ships the k-column patch one
-  // hop up — never a full ModelUpdate.
+  // hop up — never a full class set.
   for (NodeId id : order) {
     if (!ctx.liveness.origin_up(id)) continue;
     NodeRuntime& node = ctx.nodes[id];

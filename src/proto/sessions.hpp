@@ -14,9 +14,11 @@
 // charging scheme: a message is charged exactly when it would have crossed
 // a live link.
 //
-// Training moves models up as one fused ReducePartial frame per live edge
-// per phase (the node's k class accumulators, or every per-(class, batch)
-// accumulator), entropy-coded as a unit by the section codec.
+// Every session that moves a node's class set one hop posts exactly one
+// frame per (sender, receiver) hop, entropy-coded as a unit by the section
+// codec: a ReducePartial in training (the node's k class accumulators, or
+// every per-(class, batch) accumulator), residual propagation and
+// reintegration, and a StateSync in the rejoin rebuild.
 //
 // Sessions require a synchronous bus (LocalBus): every post must be
 // delivered before the parent's finish_* runs.
@@ -89,21 +91,23 @@ CommStats run_batch_retraining(const SessionContext& ctx,
 
 /// Online-update residual propagation (Section IV-D, Figure 5b): each node
 /// folds its children's delivered residuals into its model and ships the
-/// combined bundle up as ResidualMerge envelopes; a node whose uplink is
-/// down holds its bundle in pending_residuals for a later round.
+/// combined k-class bundle up as one ReducePartial (kReduceResidual); a
+/// node whose uplink is down holds its bundle in pending_residuals for a
+/// later round.
 CommStats run_residual_propagation(const SessionContext& ctx);
 
 /// Straggler reintegration: every parked contribution whose path to the
-/// root is back up is shipped hop by hop as ModelUpdate envelopes, each hop
-/// lifting the delta through the parent's aggregator and folding it into
-/// the parent's model (exact by linearity).
+/// root is back up is shipped hop by hop, one ReducePartial
+/// (kReduceReintegration) per hop, each hop lifting the delta through the
+/// parent's aggregator and folding it into the parent's model (exact by
+/// linearity).
 CommStats run_reintegration(const SessionContext& ctx);
 
 /// Rejoin after a declared death (churn membership). The returning node
 /// announces its new incarnation to every ancestor (NodeJoin envelopes),
 /// rebuilds its class-accumulator state — a leaf re-bundles its local
 /// samples; an internal node re-syncs from its reachable children's
-/// checkpointed state, shipped as StateSync envelopes — then every
+/// checkpointed state, one StateSync frame per child — then every
 /// ancestor on the path to the root re-aggregates from its delivering
 /// children's full checkpoints in one pass per hop. (A delta-lift would be
 /// cheaper, but the projection's integer rescale truncates, so only a full
@@ -119,7 +123,7 @@ CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
 
 /// Adaptive dimensionality (DESIGN.md §14): regenerate the k least
 /// discriminating encoder dimensions and propagate the per-class deltas as
-/// DimensionPatch envelopes instead of full ModelUpdates. In concatenation
+/// DimensionPatch envelopes instead of full class sets. In concatenation
 /// mode the root scores its own model (every root dimension traces back to
 /// exactly one leaf dimension) and requests flow top-down along delivering
 /// links; in holographic mode each leaf with a live path to the root scores

@@ -20,6 +20,7 @@
 #include "core/edgehd.hpp"
 #include "data/dataset.hpp"
 #include "hdc/random.hpp"
+#include "hier/hier_encoder.hpp"
 #include "net/fault.hpp"
 #include "net/topology.hpp"
 #include "proto/envelope.hpp"
@@ -100,7 +101,7 @@ std::uint64_t model_hash(const core::EdgeHdSystem& sys) {
 
 // ---- model pins --------------------------------------------------------------
 //
-// Recorded from the point-to-point schedule (one ModelUpdate per class, one
+// Recorded from the point-to-point schedule (one frame per class, one
 // BatchUpdate per (class, batch)); the fused reduce must reproduce them bit
 // for bit.
 
@@ -220,19 +221,20 @@ hdc::AccumHV random_accum(std::size_t dim, std::int32_t magnitude,
 }
 
 TEST(CollectiveScatter, FusedFrameMatchesPerClassDelivery) {
-  // A gateway fed one fused initial-training frame must close its phase with
-  // exactly the accumulators of a twin fed per-class ModelUpdates.
+  // A gateway fed one fused initial-training frame per child must close its
+  // phase with exactly what its aggregator makes of the same per-class
+  // accumulators.
   const auto topo = net::Topology::paper_tree(4);
   const NodeId gw = topo.parent(topo.leaves().front());
   const auto kids = topo.children(gw);
 
-  proto::NodeRuntime fused, plain;
-  for (auto* rt : {&fused, &plain}) {
-    rt->init(gw, topo, 16, 2);
-    rt->install_aggregator(std::make_unique<hier::HierEncoder>(
-        std::vector<std::size_t>(kids.size(), 16), 16, 99));
-    rt->begin_initial_training();
-  }
+  proto::NodeRuntime fused;
+  fused.init(gw, topo, 16, 2);
+  fused.install_aggregator(std::make_unique<hier::HierEncoder>(
+      std::vector<std::size_t>(kids.size(), 16), 16, 99));
+  fused.begin_initial_training();
+  // [class][child]: the aggregator's input slots per class.
+  std::vector<std::vector<hdc::AccumHV>> slots(2);
   for (std::size_t k = 0; k < kids.size(); ++k) {
     const std::vector<hdc::AccumHV> contrib{
         random_accum(16, 30, 900 + k), random_accum(16, 30, 910 + k)};
@@ -240,13 +242,13 @@ TEST(CollectiveScatter, FusedFrameMatchesPerClassDelivery) {
                        proto::ReducePartial{
                            proto::kReduceInitial,
                            static_cast<std::uint32_t>(kids[k]), contrib}});
-    plain.on_envelope({proto::kProtoVersion, kids[k], gw,
-                       proto::ModelUpdate{0, contrib[0]}});
-    plain.on_envelope({proto::kProtoVersion, kids[k], gw,
-                       proto::ModelUpdate{1, contrib[1]}});
+    for (std::size_t c = 0; c < 2; ++c) slots[c].push_back(contrib[c]);
   }
-  EXPECT_EQ(fused.finish_initial_training({}, {}),
-            plain.finish_initial_training({}, {}));
+  const hier::HierEncoder reference(std::vector<std::size_t>(kids.size(), 16),
+                                    16, 99);
+  const std::vector<hdc::AccumHV> expect{reference.aggregate_accum(slots[0]),
+                                         reference.aggregate_accum(slots[1])};
+  EXPECT_EQ(fused.finish_initial_training({}, {}), expect);
 }
 
 TEST(CollectiveScatter, MalformedFusedFramesAreProtocolViolations) {

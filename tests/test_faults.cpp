@@ -535,8 +535,9 @@ TEST(EdgeHdFaults, TrainingToleratesMissingChildAndReintegratesOnRecovery) {
   const auto reint = faulty.reintegrate_stragglers();
   EXPECT_GT(reint.bytes, 0u);
   EXPECT_TRUE(faulty.stragglers().empty());
-  // k class hypervectors per hop, two hops (leaf -> gateway -> root).
-  EXPECT_EQ(reint.messages, ds.num_classes * 2);
+  // One frame of k class hypervectors per hop, two hops (leaf -> gateway
+  // -> root).
+  EXPECT_EQ(reint.messages, 2u);
 
   // The lifted deltas reconstruct the healthy models up to the projection's
   // integer rescale truncation — compare by direction, not bit-for-bit.
