@@ -38,8 +38,6 @@ class BitSink {
     }
   }
 
-  void push_bit(std::uint32_t b) { push(b & 1U, 1); }
-
   void byte_align() {
     if (nbits_ > 0) {
       w_->u8(static_cast<std::uint8_t>(acc_));
@@ -227,8 +225,18 @@ struct CanonicalCodes {
   std::array<std::uint32_t, kMaxHuffCodeLen + 2> first_code{};
   std::array<std::uint32_t, kMaxHuffCodeLen + 2> offset{};
   std::vector<std::uint32_t> syms;  ///< used symbols ordered (length, symbol)
-  std::vector<std::uint32_t> code_of;  ///< per symbol (encoder side)
+  /// Per symbol, bit-reversed within its length so one LSB-first push
+  /// emits the code MSB-first (encoder side).
+  std::vector<std::uint32_t> code_of;
 };
+
+std::uint32_t reverse_bits(std::uint32_t code, std::uint32_t len) noexcept {
+  std::uint32_t out = 0;
+  for (std::uint32_t i = 0; i < len; ++i) {
+    out = (out << 1) | ((code >> i) & 1U);
+  }
+  return out;
+}
 
 bool build_canonical(std::span<const std::uint8_t> lengths,
                      CanonicalCodes& c, bool require_complete) {
@@ -259,7 +267,7 @@ bool build_canonical(std::span<const std::uint8_t> lengths,
   for (std::size_t sym = 0; sym < lengths.size(); ++sym) {
     const std::uint8_t len = lengths[sym];
     if (len == 0) continue;
-    c.code_of[sym] = next[len]++;
+    c.code_of[sym] = reverse_bits(next[len]++, len);
     c.syms[c.offset[len] + fill[len]++] = static_cast<std::uint32_t>(sym);
   }
   return true;
@@ -394,11 +402,7 @@ void write_sections(ByteWriter& w, std::span<const hdc::AccumHV> sections) {
     BitSink sink(w);
     for (std::int32_t v : s) {
       const std::uint32_t sym = zigzag(v);
-      const std::uint32_t len = lengths[sym];
-      const std::uint32_t code = codes.code_of[sym];
-      for (std::uint32_t i = len; i-- > 0;) {
-        sink.push_bit(code >> i);
-      }
+      sink.push(codes.code_of[sym], lengths[sym]);
     }
     sink.byte_align();
   }
