@@ -181,7 +181,9 @@ PhaseCosts CostModel::edgehd_train(const net::Topology& topo,
   net::Simulator sim(topo, medium);
 
   // Bytes each node uploads to its parent: k class hypervectors plus the
-  // batch hypervectors, all integer accumulators sized to their magnitude.
+  // batch hypervectors, each priced as a fixed-width accumulator sized to
+  // its worst-case magnitude — an upper bound on the section-coded frames
+  // the protocol actually ships (see the byte note in cost_model.hpp).
   auto upload_bytes = [&](NodeId id) -> std::uint64_t {
     const std::uint32_t class_bits = hdc::bits_for_magnitude(
         static_cast<std::int64_t>(ceil_div(shape_.train_size, k)));

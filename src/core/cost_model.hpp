@@ -18,6 +18,13 @@
 // level (Section IV-B); the accuracy engine (EdgeHdSystem) additionally lets
 // end nodes retrain on their local per-sample encodings, which costs no
 // communication but is not charged here.
+//
+// Byte note: training uploads are priced as fixed-width per-accumulator
+// payloads (one bits_for_magnitude-wide accumulator per class and per
+// batch). That is an upper bound: the protocol ships each node's set as one
+// section-coded frame per hop (proto/section_codec.hpp), which undercuts
+// it — Figure 13's depth-3 deployment measured 1,016,715 training bytes
+// fused against 1,335,831 under one frame per accumulator.
 #pragma once
 
 #include <cstdint>
