@@ -86,6 +86,22 @@ void record_routed(const RoutedResult& result) {
   o.confidence.observe(result.confidence);
 }
 
+/// Feature partition `p` of each picked row: what that partition's leaf
+/// observes of those samples.
+template <typename Index>
+std::vector<std::vector<float>> leaf_slices(
+    const data::Dataset& ds, std::size_t p,
+    const std::vector<std::vector<float>>& rows, std::span<const Index> picks) {
+  const auto offset = static_cast<std::ptrdiff_t>(ds.partition_offset(p));
+  const auto len = static_cast<std::ptrdiff_t>(ds.partitions[p]);
+  std::vector<std::vector<float>> slices(picks.size());
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    const auto first = rows[picks[i]].begin() + offset;
+    slices[i].assign(first, first + len);
+  }
+  return slices;
+}
+
 }  // namespace
 
 std::size_t scaled_batch_size(std::size_t paper_batch, std::size_t paper_train,
@@ -191,6 +207,7 @@ proto::SessionContext EdgeHdSystem::session_context() {
   ctx.liveness = liveness();
   ctx.num_classes = ds_.num_classes;
   ctx.batch_size = config_.batch_size;
+  ctx.labels = train_labels_;
   ctx.pending_contrib = &pending_contrib_;
   ctx.pending_residuals = &pending_residuals_;
   ctx.stragglers = &stragglers_;
@@ -208,14 +225,6 @@ proto::RoutingContext EdgeHdSystem::routing_context() const {
   ctx.max_retries = config_.reliable.max_retries;
   ctx.escalations = &CoreObs::get().routed_escalations;
   return ctx;
-}
-
-proto::TrainData EdgeHdSystem::train_data() const {
-  proto::TrainData data;
-  data.encoded = &encoded_train_;
-  data.labels = encoded_train_labels_;
-  data.raw = &raw_train_;
-  return data;
 }
 
 std::size_t EdgeHdSystem::node_dim(NodeId id) const {
@@ -298,7 +307,7 @@ void EdgeHdSystem::advance_detector(net::SimTime now) {
 
 CommStats EdgeHdSystem::rejoin_node(NodeId node,
                                     std::optional<std::uint64_t> incarnation) {
-  if (encoded_train_.empty()) {
+  if (!train_source_) {
     throw std::logic_error("EdgeHdSystem: rejoin_node before any training");
   }
   std::uint64_t inc;
@@ -312,7 +321,7 @@ CommStats EdgeHdSystem::rejoin_node(NodeId node,
         "detector");
   }
   const CommStats comm =
-      proto::run_rejoin(session_context(), train_data(), node, inc);
+      proto::run_rejoin(session_context(), node, inc);
   CoreObs::get().rejoin_bytes.inc(comm.bytes);
   CoreObs::get().rejoin_messages.inc(comm.messages);
   return comm;
@@ -378,38 +387,20 @@ std::vector<std::size_t> EdgeHdSystem::effective_indices(
 
 void EdgeHdSystem::ensure_train_encoded(
     std::span<const std::size_t> train_indices) {
-  const auto idx = effective_indices(train_indices);
-  if (idx == encoded_train_source_) return;
+  std::vector<std::size_t> idx = effective_indices(train_indices);
+  if (train_source_ == idx) return;
 
-  encoded_train_source_ = idx;
-  encoded_train_labels_.resize(idx.size());
-  encoded_train_.assign(topology_.num_nodes(), {});
-  for (auto& per_node : encoded_train_) per_node.resize(idx.size());
-  raw_train_.assign(topology_.num_nodes(), {});
-  for (NodeId leaf : leaves_) {
-    raw_train_[leaf].resize(idx.size() *
-                            ds_.partitions[nodes_[leaf].partition()]);
+  train_labels_.resize(idx.size());
+  for (std::size_t s = 0; s < idx.size(); ++s) {
+    train_labels_[s] = ds_.train_y[idx[s]];
   }
-
-  // Per-sample encode_all is independent work writing disjoint slots; the
-  // fan-out changes nothing observable (each sample's encoding is the same
-  // deterministic function of the model-free projection state).
-  runtime::parallel_for(*pool_, idx.size(), [&](std::size_t s) {
-    encoded_train_labels_[s] = ds_.train_y[idx[s]];
-    const auto& x = ds_.train_x[idx[s]];
-    auto hvs = encode_all(x);
-    for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
-      encoded_train_[id][s] = std::move(hvs[id]);
-    }
-    for (NodeId leaf : leaves_) {
-      const std::size_t p = nodes_[leaf].partition();
-      const std::size_t len = ds_.partitions[p];
-      std::copy_n(x.begin() +
-                      static_cast<std::ptrdiff_t>(ds_.partition_offset(p)),
-                  len, raw_train_[leaf].begin() +
-                           static_cast<std::ptrdiff_t>(s * len));
-    }
-  });
+  for (NodeId leaf : leaves_) {
+    proto::NodeRuntime& rt = nodes_[leaf];
+    rt.load_training(leaf_slices(ds_, rt.partition(), ds_.train_x,
+                                 std::span<const std::size_t>(idx)),
+                     train_labels_, *pool_);
+  }
+  train_source_ = std::move(idx);
 }
 
 void EdgeHdSystem::ensure_test_encoded() const {
@@ -453,7 +444,7 @@ CommStats EdgeHdSystem::train_initial(
   const obs::Span span("core.train_initial");
   ensure_train_encoded(train_indices);
   const CommStats comm =
-      proto::run_initial_training(session_context(), train_data());
+      proto::run_initial_training(session_context());
   CoreObs::get().train_initial_bytes.inc(comm.bytes);
   CoreObs::get().train_initial_messages.inc(comm.messages);
   return comm;
@@ -464,7 +455,7 @@ CommStats EdgeHdSystem::retrain_batches(
   const obs::Span span("core.retrain");
   ensure_train_encoded(train_indices);
   const CommStats comm =
-      proto::run_batch_retraining(session_context(), train_data());
+      proto::run_batch_retraining(session_context());
   CoreObs::get().retrain_bytes.inc(comm.bytes);
   CoreObs::get().retrain_messages.inc(comm.messages);
   return comm;
@@ -472,21 +463,18 @@ CommStats EdgeHdSystem::retrain_batches(
 
 CommStats EdgeHdSystem::regenerate_dimensions(std::size_t k,
                                               std::uint32_t round) {
-  if (encoded_train_.empty()) {
+  if (!train_source_) {
     throw std::logic_error(
         "EdgeHdSystem: regenerate_dimensions before any training");
   }
   const obs::Span span("core.regen");
-  const CommStats comm = proto::run_dimension_regeneration(
-      session_context(), train_data(), k, round);
+  const CommStats comm =
+      proto::run_dimension_regeneration(session_context(), k, round);
   CoreObs::get().regen_bytes.inc(comm.bytes);
   CoreObs::get().regen_messages.inc(comm.messages);
 
-  // The leaf projections changed, so every memoized encoding is stale:
-  // re-encode the training pass (same sample set) and drop the test cache.
-  const std::vector<std::size_t> idx = std::move(encoded_train_source_);
-  encoded_train_source_.clear();
-  ensure_train_encoded(idx);
+  // The regenerated leaves patched their own training encodings; the test
+  // cache still holds encodings under the old projections.
   encoded_test_.clear();
   packed_test_.clear();
   return comm;
@@ -613,15 +601,8 @@ std::unique_ptr<serve::Engine> EdgeHdSystem::serve_start(
   b.encode_leaf_batch = [this](NodeId leaf,
                                std::span<const std::uint64_t> samples) {
     const proto::NodeRuntime& rt = nodes_[leaf];
-    const std::size_t offset = ds_.partition_offset(rt.partition());
-    const std::size_t len = ds_.partitions[rt.partition()];
-    std::vector<std::vector<float>> slices(samples.size());
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const auto& x = ds_.test_x[samples[i]];
-      slices[i].assign(x.begin() + static_cast<std::ptrdiff_t>(offset),
-                       x.begin() + static_cast<std::ptrdiff_t>(offset + len));
-    }
-    return rt.leaf_encoder().encode_batch(slices, *pool_);
+    return rt.leaf_encoder().encode_batch(
+        leaf_slices(ds_, rt.partition(), ds_.test_x, samples), *pool_);
   };
   b.encode_all = [this](std::uint64_t sample, const net::HealthMask& world) {
     return encode_all(ds_.test_x[sample], world);

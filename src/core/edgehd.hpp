@@ -193,7 +193,8 @@ class EdgeHdSystem {
   /// regenerates the k least discriminating encoder dimensions at the
   /// leaves, and propagates the per-class deltas up the hierarchy as
   /// k-column DimensionPatch envelopes (proto::run_dimension_regeneration).
-  /// Memoized encodings are refreshed afterwards — the projection changed.
+  /// Each regenerated leaf patches the k columns into its own training
+  /// encodings, so nothing is re-encoded; only the test cache is dropped.
   /// Requires a prior training pass. train() drives this automatically when
   /// SystemConfig::regen_dims > 0.
   CommStats regenerate_dimensions(std::size_t k, std::uint32_t round = 1);
@@ -356,7 +357,9 @@ class EdgeHdSystem {
                                           std::uint64_t seed) const;
 
  private:
-  /// Encodes the train split once (memoized) at every node.
+  /// Loads each leaf's slice of the training samples into its runtime, which
+  /// encodes it with the leaf encoder alone; a no-op while the index set is
+  /// unchanged.
   void ensure_train_encoded(std::span<const std::size_t> train_indices);
   void ensure_test_encoded() const;
 
@@ -376,9 +379,6 @@ class EdgeHdSystem {
   proto::SessionContext session_context();
   /// Read-only view + policy knobs for query walks (routing.hpp).
   proto::RoutingContext routing_context() const;
-  /// The facade's memoized per-node training encodings, as sessions see
-  /// them.
-  proto::TrainData train_data() const;
 
   const data::Dataset& ds_;
   net::Topology topology_;
@@ -400,14 +400,13 @@ class EdgeHdSystem {
   std::unique_ptr<proto::LocalBus> bus_;
   std::vector<net::NodeId> leaves_;
 
-  // Memoized encodings: encoded_train_[node][sample], encoded_test_ likewise.
-  std::vector<std::vector<hdc::BipolarHV>> encoded_train_;
-  std::vector<std::size_t> encoded_train_labels_;
-  std::vector<std::size_t> encoded_train_source_;  ///< dataset row per sample
-  /// Raw per-leaf feature slices of the memoized training pass (flat,
-  /// sample-major); consumed by dimension regeneration, which re-encodes
-  /// exactly the regenerated dimensions. Empty rows for internal nodes.
-  std::vector<std::vector<float>> raw_train_;
+  /// Dataset row of each loaded training sample; empty before the first
+  /// training pass. The leaves hold the samples and their encodings.
+  std::optional<std::vector<std::size_t>> train_source_;
+  /// Class of each loaded training sample, borrowed by every leaf runtime
+  /// and handed to the sessions.
+  std::vector<std::size_t> train_labels_;
+  /// Memoized test encodings: encoded_test_[node][sample].
   mutable std::vector<std::vector<hdc::BipolarHV>> encoded_test_;
   /// Pre-packed test queries (sign-mask pairs) per classifier node, built
   /// alongside encoded_test_ so repeated evaluation passes skip the per-call

@@ -203,23 +203,6 @@ void Simulator::send(NodeId from, NodeId to, std::uint64_t bytes,
            });
 }
 
-void Simulator::set_payload_handler(PayloadHandler handler) {
-  payload_handler_ = std::move(handler);
-}
-
-void Simulator::send_payload(NodeId from, NodeId to,
-                             std::vector<std::uint8_t> payload,
-                             CompletionFn on_delivered) {
-  const auto bytes = static_cast<std::uint64_t>(payload.size());
-  transmit(from, to, bytes,
-           [this, from, to, body = std::move(payload),
-            cb = std::move(on_delivered)](TransmitResult r) mutable {
-             if (r != TransmitResult::kDelivered) return;
-             if (payload_handler_) payload_handler_(from, to, body);
-             if (cb) cb();
-           });
-}
-
 // ---- reliable transport ----------------------------------------------------
 
 struct Simulator::ReliableState {
@@ -337,7 +320,7 @@ void Simulator::send_to_root(NodeId from, std::uint64_t bytes,
   // (this + next + bytes + the user's CompletionFn) exceeds CompletionFn's
   // own buffer, so each hop's continuation takes the documented heap
   // fallback — send_to_root is a per-message convenience, not the fleet
-  // hot path (the proto bus and serving plane ride send_payload/send).
+  // hot path (the cost model's fleet-scale flows call send per hop).
   send(from, next, bytes,
        [this, next, bytes, cb = std::move(on_delivered)]() mutable {
          send_to_root(next, bytes, std::move(cb));

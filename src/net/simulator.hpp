@@ -26,9 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -173,21 +171,6 @@ class Simulator {
   void send(NodeId from, NodeId to, std::uint64_t bytes,
             CompletionFn on_delivered = {});
 
-  /// Receiver-side hook for opaque payload frames: fires at delivery time
-  /// with the sender, receiver and payload bytes of each send_payload that
-  /// lands intact. One hook per simulator (the proto layer's SimulatorBus
-  /// decodes envelopes here).
-  using PayloadHandler = std::function<void(
-      NodeId from, NodeId to, std::span<const std::uint8_t> payload)>;
-
-  void set_payload_handler(PayloadHandler handler);
-
-  /// Sends an opaque byte payload one hop (same adjacency/fault semantics as
-  /// send, charged at payload.size() bytes on the wire). On delivery the
-  /// installed payload handler fires at the receiver, then `on_delivered`.
-  void send_payload(NodeId from, NodeId to, std::vector<std::uint8_t> payload,
-                    CompletionFn on_delivered = {});
-
   /// Reliable one-hop transfer: retransmits until an ack arrives, the retry
   /// cap is hit, or the sender finds itself unable to transmit. Backoff is
   /// exponential with seeded jitter; duplicate deliveries at the receiver
@@ -237,8 +220,9 @@ class Simulator {
     kNotSent,     ///< never transmitted (sender crashed / link outage)
   };
 
-  /// Per-attempt result callback of one transmit(). 128 bytes fits the
-  /// payload-path closure (a std::vector plus the user CompletionFn).
+  /// Per-attempt result callback of one transmit(). 128 bytes fits every
+  /// caller's closure (send()'s user CompletionFn, the reliable path's
+  /// state handle) without the heap fallback.
   using TransmitFn = InlineFunction<void(TransmitResult), 128>;
 
   /// The link a node shares with its parent.
@@ -305,7 +289,6 @@ class Simulator {
   /// Nodes with at least one crash window — lets the hot transmit path skip
   /// the plan's window scan for the (vast) crash-free majority.
   std::vector<std::uint8_t> crash_prone_;
-  PayloadHandler payload_handler_;
   bool faults_active_ = false;
   std::uint64_t jitter_draws_ = 0;  ///< backoff-jitter draw counter
   SimTime now_ = 0;

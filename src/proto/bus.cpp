@@ -86,38 +86,4 @@ void LocalBus::post(Envelope env) {
   handler(result.envelope);
 }
 
-// ---- SimulatorBus ----------------------------------------------------------
-
-SimulatorBus::SimulatorBus(net::Simulator& sim)
-    : sim_(&sim), handlers_(sim.topology().num_nodes()) {
-  sim_->set_payload_handler([this](net::NodeId /*from*/, net::NodeId to,
-                                   std::span<const std::uint8_t> payload) {
-    const DecodeResult result = decode(payload);
-    if (!result.ok()) {
-      ++decode_failures_;
-      return;
-    }
-    const std::uint64_t size = detail::account_delivery(result.envelope.msg);
-    if (charge_ != nullptr) {
-      charge_->bytes += size;
-      ++charge_->messages;
-    }
-    if (to < handlers_.size() && handlers_[to]) {
-      ++delivered_;
-      handlers_[to](result.envelope);
-    }
-  });
-}
-
-void SimulatorBus::subscribe(net::NodeId node, Handler handler) {
-  if (node >= handlers_.size()) {
-    throw std::out_of_range("SimulatorBus: node id out of range");
-  }
-  handlers_[node] = std::move(handler);
-}
-
-void SimulatorBus::post(Envelope env) {
-  sim_->send_payload(env.src, env.dst, encode(env));
-}
-
 }  // namespace edgehd::proto

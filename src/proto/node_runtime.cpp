@@ -65,6 +65,21 @@ const hier::HierEncoder& NodeRuntime::aggregator() const {
   return *aggregator_;
 }
 
+void NodeRuntime::load_training(std::vector<std::vector<float>> slices,
+                                std::span<const std::size_t> labels,
+                                runtime::ThreadPool& pool) {
+  if (role_ != Role::kLeaf) {
+    throw std::logic_error("NodeRuntime: load_training on an internal node");
+  }
+  if (slices.size() != labels.size()) {
+    throw std::invalid_argument(
+        "NodeRuntime: load_training needs one label per slice");
+  }
+  train_encoded_ = leaf_encoder().encode_batch(slices, pool);
+  train_slices_ = std::move(slices);
+  train_labels_ = labels;
+}
+
 hdc::Prediction NodeRuntime::predict(
     std::span<const std::int8_t> query) const {
   return classifier().predict(query);
@@ -93,6 +108,20 @@ void NodeRuntime::require_phase(Phase expected, const char* what) const {
   }
 }
 
+std::size_t NodeRuntime::checked_child(net::NodeId src,
+                                       const std::vector<AccumHV>& sections,
+                                       const char* what) const {
+  const std::size_t ci = child_index(src);
+  const std::size_t cd = child_dim(ci);
+  for (const AccumHV& section : sections) {
+    if (section.size() != cd) {
+      throw std::logic_error(std::string("NodeRuntime: ") + what +
+                             " section dimension != sender dimension");
+    }
+  }
+  return ci;
+}
+
 void NodeRuntime::file_class_set(net::NodeId src,
                                  const std::vector<AccumHV>& sections,
                                  const char* what) {
@@ -100,7 +129,7 @@ void NodeRuntime::file_class_set(net::NodeId src,
     throw std::logic_error(std::string("NodeRuntime: ") + what +
                            " section count != num_classes");
   }
-  inbox_[child_index(src)] = sections;
+  inbox_[checked_child(src, sections, what)] = sections;
 }
 
 void NodeRuntime::on_envelope(const Envelope& env) {
@@ -157,7 +186,8 @@ void NodeRuntime::on_envelope(const Envelope& env) {
               break;
             case kReduceBatch: {
               require_phase(Phase::kBatchRetraining, "ReducePartial(batch)");
-              auto& slot = batch_inbox_[child_index(env.src)];
+              auto& slot = batch_inbox_[checked_child(
+                  env.src, m.sections, "ReducePartial(batch)")];
               std::size_t expected = 0;
               for (std::size_t c = 0; c < num_classes_; ++c) {
                 expected += slot[c].size();
@@ -256,14 +286,12 @@ void NodeRuntime::begin_initial_training() {
   }
 }
 
-const std::vector<AccumHV>& NodeRuntime::finish_initial_training(
-    std::span<const hdc::BipolarHV> samples,
-    std::span<const std::size_t> labels) {
+const std::vector<AccumHV>& NodeRuntime::finish_initial_training() {
   require_phase(Phase::kInitialTraining, "finish_initial_training");
   own_accums_.assign(num_classes_, AccumHV(dim_, 0));
   if (role_ == Role::kLeaf) {
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-      hdc::bundle_into(own_accums_[labels[s]], samples[s]);
+    for (std::size_t s = 0; s < train_encoded_.size(); ++s) {
+      hdc::bundle_into(own_accums_[train_labels_[s]], train_encoded_[s]);
     }
   } else {
     for (std::size_t c = 0; c < num_classes_; ++c) {
@@ -297,9 +325,8 @@ void NodeRuntime::begin_batch_retraining(const ClassBatches& batches) {
   }
 }
 
-const std::vector<std::vector<AccumHV>>& NodeRuntime::finish_batch_retraining(
-    std::span<const hdc::BipolarHV> samples,
-    std::span<const std::size_t> labels) {
+const std::vector<std::vector<AccumHV>>&
+NodeRuntime::finish_batch_retraining() {
   require_phase(Phase::kBatchRetraining, "finish_batch_retraining");
   const ClassBatches& batches = *batches_;
   own_batches_.assign(num_classes_, {});
@@ -307,7 +334,7 @@ const std::vector<std::vector<AccumHV>>& NodeRuntime::finish_batch_retraining(
     for (std::size_t c = 0; c < num_classes_; ++c) {
       for (const auto& batch : batches[c]) {
         AccumHV acc(dim_, 0);
-        for (std::size_t s : batch) hdc::bundle_into(acc, samples[s]);
+        for (std::size_t s : batch) hdc::bundle_into(acc, train_encoded_[s]);
         own_batches_[c].push_back(std::move(acc));
       }
     }
@@ -331,7 +358,7 @@ const std::vector<std::vector<AccumHV>>& NodeRuntime::finish_batch_retraining(
       // End nodes retrain on their own per-sample encodings; batching only
       // matters for what crosses the network. Serial pass — bit-identity
       // with the protocol's reference behaviour is part of the contract.
-      classifier_->retrain(samples, labels);
+      classifier_->retrain(train_encoded_, train_labels_);
     } else {
       std::vector<hdc::BipolarHV> hvs;
       std::vector<std::size_t> batch_labels;
@@ -453,10 +480,7 @@ void NodeRuntime::set_regen_request(std::vector<std::uint32_t> dims) {
   regen_request_ = std::move(dims);
 }
 
-DimensionPatch NodeRuntime::finish_dimension_regen_leaf(
-    std::span<const float> raw_features,
-    std::span<const hdc::BipolarHV> encoded,
-    std::span<const std::size_t> labels) {
+DimensionPatch NodeRuntime::finish_dimension_regen_leaf() {
   require_phase(Phase::kDimensionRegen, "finish_dimension_regen_leaf");
   if (role_ != Role::kLeaf) {
     throw std::logic_error(
@@ -470,24 +494,23 @@ DimensionPatch NodeRuntime::finish_dimension_regen_leaf(
   }
   hdc::Encoder& enc = *leaf_encoder_;
   const std::size_t k = regen_request_.size();
-  const std::size_t in = enc.input_dim();
-  if (!encoded.empty() && raw_features.size() != encoded.size() * in) {
-    throw std::invalid_argument(
-        "NodeRuntime: raw feature slice does not match encoded samples");
-  }
 
   enc.regenerate_dimensions(regen_request_);
   out.dims = regen_request_;
 
   // Per-class delta of exactly the regenerated dimensions: the new partial
   // encoding minus the old components, summed over this leaf's samples.
+  // The new components replace the old ones in the stored encodings, which
+  // then equal a full encode under the regenerated projection.
   out.columns.assign(num_classes_, AccumHV(k, 0));
   std::vector<std::int8_t> fresh(k);
-  for (std::size_t s = 0; s < encoded.size(); ++s) {
-    enc.encode_dims(raw_features.subspan(s * in, in), out.dims, fresh);
-    AccumHV& col = out.columns[labels[s]];
+  for (std::size_t s = 0; s < train_encoded_.size(); ++s) {
+    enc.encode_dims(train_slices_[s], out.dims, fresh);
+    AccumHV& col = out.columns[train_labels_[s]];
+    hdc::BipolarHV& hv = train_encoded_[s];
     for (std::size_t j = 0; j < k; ++j) {
-      col[j] += fresh[j] - encoded[s][out.dims[j]];
+      col[j] += fresh[j] - hv[out.dims[j]];
+      hv[out.dims[j]] = fresh[j];
     }
   }
   out.generations.resize(k);

@@ -22,7 +22,13 @@
 // Query traffic (QueryEscalate / QueryReply) deliberately does not flow
 // through on_envelope: a query walk is reentrant per-query state handled by
 // routing.hpp so batched inference can fan out across threads. A query
-// envelope arriving here (e.g. over a SimulatorBus) is only counted.
+// envelope delivered here is only counted.
+//
+// A leaf owns its training data: the facade loads the leaf's feature slice
+// of every training sample, the leaf encodes it once with its own encoder
+// (no aggregation — internal nodes keep no training encodings), and every
+// leaf finish_* step reads those encodings. Dimension regeneration patches
+// them in place, so they always equal the current encoder's output.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +42,7 @@
 #include "hdc/hypervector.hpp"
 #include "hier/hier_encoder.hpp"
 #include "net/topology.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace edgehd::proto {
 
@@ -94,6 +101,22 @@ class NodeRuntime {
   const hdc::Encoder& leaf_encoder() const;
   const hier::HierEncoder& aggregator() const;
 
+  // ---- training data (leaves only) ---------------------------------------
+
+  /// Leaf only. Replaces the training set: `slices[s]` is this leaf's
+  /// feature partition of training sample s and `labels[s]` its class.
+  /// Encodes every slice with the leaf encoder, fanned over `pool`
+  /// (bit-identical to a per-sample encode for any worker count). `labels`
+  /// is borrowed and must outlive the loaded set.
+  void load_training(std::vector<std::vector<float>> slices,
+                     std::span<const std::size_t> labels,
+                     runtime::ThreadPool& pool);
+
+  /// The loaded samples' encodings under the current encoder, in load order.
+  std::span<const hdc::BipolarHV> train_encodings() const noexcept {
+    return train_encoded_;
+  }
+
   /// Classifier prediction on an encoded query. Const and thread-safe once
   /// the classifier cache is warm (HDClassifier::warm_cache).
   hdc::Prediction predict(std::span<const std::int8_t> query) const;
@@ -105,9 +128,9 @@ class NodeRuntime {
   /// training, batch retraining, residual propagation, reintegration),
   /// StateSync in initial training (the rejoin rebuild) — from a
   /// topological child, with one section per class (per (class, batch) for
-  /// batch retraining). Anything else, including a BatchUpdate (no phase
-  /// takes one), throws std::logic_error. Query/probe messages are counted
-  /// and dropped.
+  /// batch retraining), each of the sender's dimension. Anything else,
+  /// including a BatchUpdate (no phase takes one), throws std::logic_error.
+  /// Query/probe messages are counted and dropped.
   void on_envelope(const Envelope& env);
 
   std::uint64_t probes_received() const noexcept { return probes_received_; }
@@ -129,13 +152,11 @@ class NodeRuntime {
 
   void begin_initial_training();
 
-  /// Closes the phase: a leaf bundles its encoded samples per class; a
+  /// Closes the phase: a leaf bundles its loaded samples per class; a
   /// gateway/central node aggregates the inbox (absent children contribute
   /// zeros). Installs the result into the classifier when one is hosted and
   /// returns the node's k class accumulators (what ships upward).
-  const std::vector<hdc::AccumHV>& finish_initial_training(
-      std::span<const hdc::BipolarHV> samples,
-      std::span<const std::size_t> labels);
+  const std::vector<hdc::AccumHV>& finish_initial_training();
 
   // ---- batch retraining (Section IV-B) ------------------------------------
 
@@ -143,13 +164,11 @@ class NodeRuntime {
   void begin_batch_retraining(const ClassBatches& batches);
 
   /// Closes the phase: builds/aggregates the per-(class, batch)
-  /// hypervectors, then retrains the hosted classifier — a leaf on its own
-  /// per-sample encodings, an internal node on the binarized batch
+  /// hypervectors, then retrains the hosted classifier — a leaf on its
+  /// loaded per-sample encodings, an internal node on the binarized batch
   /// hypervectors in (class asc, batch asc) order. Returns the node's batch
   /// accumulators, [class][batch].
-  const std::vector<std::vector<hdc::AccumHV>>& finish_batch_retraining(
-      std::span<const hdc::BipolarHV> samples,
-      std::span<const std::size_t> labels);
+  const std::vector<std::vector<hdc::AccumHV>>& finish_batch_retraining();
 
   // ---- residual propagation (Section IV-D, Figure 5b) ---------------------
 
@@ -186,15 +205,11 @@ class NodeRuntime {
   }
 
   /// Leaf only. Re-derives the requested projection rows, re-encodes exactly
-  /// those dimensions of every training sample (`raw_features` is the leaf's
-  /// feature partition, sample-major; `encoded` the pre-regeneration
-  /// encodings), folds the per-class delta into its own accumulators and
+  /// those dimensions of every loaded sample, writes them into the stored
+  /// encodings, folds the per-class delta into its own accumulators and
   /// hosted classifier, and returns the patch to ship upward (empty dims
   /// when nothing was requested).
-  DimensionPatch finish_dimension_regen_leaf(
-      std::span<const float> raw_features,
-      std::span<const hdc::BipolarHV> encoded,
-      std::span<const std::size_t> labels);
+  DimensionPatch finish_dimension_regen_leaf();
 
   /// Internal node. Lifts the delivered child patches through the
   /// aggregator (zeros everywhere a child did not patch), applies the lifted
@@ -209,8 +224,14 @@ class NodeRuntime {
  private:
   std::size_t child_index(net::NodeId child) const;
   std::size_t child_dim(std::size_t child_idx) const;
+  /// Index of sender `src` among this node's children; throws unless `src`
+  /// is a child and every section has that child's dimension (an empty
+  /// section would otherwise file as an absent contribution).
+  std::size_t checked_child(net::NodeId src,
+                            const std::vector<hdc::AccumHV>& sections,
+                            const char* what) const;
   /// Files a child's k class accumulators into the class inbox; throws
-  /// unless there is exactly one section per class.
+  /// unless there is exactly one section per class (and see checked_child).
   void file_class_set(net::NodeId src,
                       const std::vector<hdc::AccumHV>& sections,
                       const char* what);
@@ -229,6 +250,11 @@ class NodeRuntime {
   std::unique_ptr<hdc::Encoder> leaf_encoder_;     // leaves only
   std::unique_ptr<hier::HierEncoder> aggregator_;  // internal only
   std::unique_ptr<hdc::HDClassifier> classifier_;  // level >= classify_min_level
+
+  // ---- training data (leaves only; see load_training) ----------------------
+  std::vector<std::vector<float>> train_slices_;
+  std::vector<hdc::BipolarHV> train_encoded_;
+  std::span<const std::size_t> train_labels_;  ///< borrowed from the loader
 
   // ---- phase workspaces ----------------------------------------------------
   /// Class-accumulator inbox, [child][class]; an empty AccumHV marks an

@@ -38,7 +38,7 @@ namespace {
 /// Attaches a CommStats sink to the bus for one session.
 class ChargeScope {
  public:
-  ChargeScope(Bus& bus, CommStats& sink) : bus_(&bus) {
+  ChargeScope(LocalBus& bus, CommStats& sink) : bus_(&bus) {
     bus_->set_charge(&sink);
   }
   ~ChargeScope() { bus_->set_charge(nullptr); }
@@ -46,7 +46,7 @@ class ChargeScope {
   ChargeScope& operator=(const ChargeScope&) = delete;
 
  private:
-  Bus* bus_;
+  LocalBus* bus_;
 };
 
 bool is_zero(const std::vector<AccumHV>& accums) {
@@ -58,18 +58,9 @@ bool is_zero(const std::vector<AccumHV>& accums) {
   return true;
 }
 
-/// Leaf rows of the training data for `id`; internal nodes get empty spans.
-std::span<const hdc::BipolarHV> leaf_samples(const SessionContext& ctx,
-                                             const TrainData& data,
-                                             NodeId id) {
-  if (!ctx.topology->is_leaf(id)) return {};
-  return (*data.encoded)[id];
-}
-
 }  // namespace
 
-CommStats run_initial_training(const SessionContext& ctx,
-                               const TrainData& data) {
+CommStats run_initial_training(const SessionContext& ctx) {
   CommStats comm;
   const ChargeScope charge(*ctx.bus, comm);
   ctx.stragglers->clear();
@@ -80,8 +71,7 @@ CommStats run_initial_training(const SessionContext& ctx,
   }
   for (NodeId id : order) {
     if (!ctx.liveness.origin_up(id)) continue;
-    const auto& accums = ctx.nodes[id].finish_initial_training(
-        leaf_samples(ctx, data, id), data.labels);
+    const auto& accums = ctx.nodes[id].finish_initial_training();
     if (ctx.parked(id)) {
       // Cut off from the parent: park the contribution for
       // run_reintegration once the path is back up.
@@ -101,19 +91,18 @@ CommStats run_initial_training(const SessionContext& ctx,
   return comm;
 }
 
-CommStats run_batch_retraining(const SessionContext& ctx,
-                               const TrainData& data) {
+CommStats run_batch_retraining(const SessionContext& ctx) {
   CommStats comm;
   const ChargeScope charge(*ctx.bus, comm);
 
-  // Per-class batches over the encoded-sample index space; the same sample
+  // Per-class batches over the training-sample index space; the same sample
   // partition is used at every node so batch hypervectors line up across the
   // hierarchy (each physical observation is sensed by every leaf).
   ClassBatches batches(ctx.num_classes);
   {
     std::vector<std::vector<std::size_t>> by_class(ctx.num_classes);
-    for (std::size_t s = 0; s < data.labels.size(); ++s) {
-      by_class[data.labels[s]].push_back(s);
+    for (std::size_t s = 0; s < ctx.labels.size(); ++s) {
+      by_class[ctx.labels[s]].push_back(s);
     }
     for (std::size_t c = 0; c < ctx.num_classes; ++c) {
       for (std::size_t start = 0; start < by_class[c].size();
@@ -141,8 +130,7 @@ CommStats run_batch_retraining(const SessionContext& ctx,
   }
   for (NodeId id : order) {
     if (!ctx.liveness.origin_up(id)) continue;
-    const auto& nb = ctx.nodes[id].finish_batch_retraining(
-        leaf_samples(ctx, data, id), data.labels);
+    const auto& nb = ctx.nodes[id].finish_batch_retraining();
     if (ctx.parked(id)) {
       // Perceptron updates are not linear, so there is nothing exact to
       // park — recovery re-syncs via a fresh retrain; just record it.
@@ -231,8 +219,8 @@ CommStats run_reintegration(const SessionContext& ctx) {
   return comm;
 }
 
-CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
-                     NodeId rejoined, std::uint64_t incarnation) {
+CommStats run_rejoin(const SessionContext& ctx, NodeId rejoined,
+                     std::uint64_t incarnation) {
   CommStats comm;
   const ChargeScope charge(*ctx.bus, comm);
   const NodeId root = ctx.topology->root();
@@ -276,7 +264,7 @@ CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
           StateSync{rt.known_incarnation(kid), std::move(state)}});
       if (kid != rejoined) synced_kids.push_back(kid);
     }
-    rt.finish_initial_training(leaf_samples(ctx, data, node), data.labels);
+    rt.finish_initial_training();
   };
 
   // 2. Rebuild local state. A leaf re-bundles its own samples; an internal
@@ -306,15 +294,10 @@ CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
 }
 
 CommStats run_dimension_regeneration(const SessionContext& ctx,
-                                     const TrainData& data, std::size_t k,
-                                     std::uint32_t round) {
+                                     std::size_t k, std::uint32_t round) {
   CommStats comm;
   const ChargeScope charge(*ctx.bus, comm);
   if (k == 0) return comm;
-  if (data.raw == nullptr) {
-    throw std::invalid_argument(
-        "run_dimension_regeneration: TrainData.raw is required");
-  }
   const NodeId root = ctx.topology->root();
   const auto order = ctx.bottom_up_order();
   for (NodeId id : order) {
@@ -384,17 +367,15 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
     }
   }
 
-  // Bottom-up: leaves re-derive + re-encode, ancestors lift and merge;
-  // every node applies its delta in place and ships the k-column patch one
-  // hop up — never a full class set.
+  // Bottom-up: leaves re-derive rows and patch their stored encodings,
+  // ancestors lift and merge; every node applies its delta in place and
+  // ships the k-column patch one hop up — never a full class set.
   for (NodeId id : order) {
     if (!ctx.liveness.origin_up(id)) continue;
     NodeRuntime& node = ctx.nodes[id];
-    DimensionPatch patch =
-        ctx.topology->is_leaf(id)
-            ? node.finish_dimension_regen_leaf(
-                  (*data.raw)[id], leaf_samples(ctx, data, id), data.labels)
-            : node.finish_dimension_regen_internal();
+    DimensionPatch patch = ctx.topology->is_leaf(id)
+                               ? node.finish_dimension_regen_leaf()
+                               : node.finish_dimension_regen_internal();
     if (patch.dims.empty() || id == root || ctx.parked(id)) continue;
     ctx.bus->post(Envelope{kProtoVersion, id, ctx.topology->parent(id),
                            std::move(patch)});

@@ -7,21 +7,23 @@
 // that node may ship; the session applies the topology-wide rules — a child
 // posts its messages to its parent iff the child, its uplink and the parent
 // are all up; a cut-off child parks its contribution as a straggler — and
-// posts through the Bus, whose synchronous delivery files each message into
-// the parent's inbox before the parent closes. All byte/message accounting
-// happens in the Bus (canonical wire_size per posted envelope), which is
-// what keeps the per-phase CommStats totals identical to the paper's
-// charging scheme: a message is charged exactly when it would have crossed
-// a live link.
+// posts through the LocalBus, whose synchronous delivery files each message
+// into the parent's inbox before the parent closes. All byte/message
+// accounting happens in the bus (canonical wire_size per posted envelope),
+// which is what keeps the per-phase CommStats totals identical to the
+// paper's charging scheme: a message is charged exactly when it would have
+// crossed a live link.
+//
+// Training data never enters a session: each leaf's NodeRuntime holds its
+// own loaded samples and encodings (NodeRuntime::load_training), and the
+// session only carries the per-sample labels it needs to partition
+// retraining batches.
 //
 // Every session that moves a node's class set one hop posts exactly one
 // frame per (sender, receiver) hop, entropy-coded as a unit by the section
 // codec: a ReducePartial in training (the node's k class accumulators, or
 // every per-(class, batch) accumulator), residual propagation and
 // reintegration, and a StateSync in the rejoin rebuild.
-//
-// Sessions require a synchronous bus (LocalBus): every post must be
-// delivered before the parent's finish_* runs.
 #pragma once
 
 #include <cstdint>
@@ -37,17 +39,20 @@
 namespace edgehd::proto {
 
 /// Everything a protocol session needs: the hierarchy, the bus, the liveness
-/// view, and the cross-phase state (parked contributions/residuals and
-/// the straggler list) owned by the facade.
+/// view, the training labels, and the cross-phase state (parked
+/// contributions/residuals and the straggler list) owned by the facade.
 struct SessionContext {
   const net::Topology* topology = nullptr;
   std::span<NodeRuntime> nodes;  ///< indexed by NodeId
-  Bus* bus = nullptr;
+  LocalBus* bus = nullptr;
   /// Who is up: the detector's beliefs decide delivery and reachability,
   /// the world alone gates local computation (net::Liveness::origin_up).
   net::Liveness liveness;
   std::size_t num_classes = 0;
   std::size_t batch_size = 1;  ///< B, retraining batch size
+  /// Class of training sample s — the same for every leaf's sample s (each
+  /// physical observation is sensed by every leaf).
+  std::span<const std::size_t> labels;
 
   /// Per-node class-hypervector contributions parked by initial training
   /// (indexed by node; empty = nothing pending).
@@ -63,31 +68,18 @@ struct SessionContext {
   std::vector<net::NodeId> bottom_up_order() const;
 };
 
-/// The facade's memoized per-node sample encodings for a training pass.
-struct TrainData {
-  /// encoded[node][sample]; only leaf rows are consumed by sessions.
-  const std::vector<std::vector<hdc::BipolarHV>>* encoded = nullptr;
-  std::span<const std::size_t> labels;  ///< per encoded sample
-  /// raw[node]: the leaf's raw feature partition, sample-major and flat
-  /// (samples x leaf input_dim); empty rows for internal nodes. Consumed
-  /// only by run_dimension_regeneration, which must re-encode exactly the
-  /// regenerated dimensions of every training sample.
-  const std::vector<std::vector<float>>* raw = nullptr;
-};
-
-/// Initial training (Section IV-B): leaves bundle local class hypervectors,
-/// each live node ships its k class accumulators upward in one
-/// ReducePartial envelope, parents aggregate what arrived. Clears and
-/// rebuilds the straggler list. Returns the phase's network charge.
-CommStats run_initial_training(const SessionContext& ctx,
-                               const TrainData& data);
+/// Initial training (Section IV-B): leaves bundle their loaded samples into
+/// local class hypervectors, each live node ships its k class accumulators
+/// upward in one ReducePartial envelope, parents aggregate what arrived.
+/// Clears and rebuilds the straggler list. Returns the phase's network
+/// charge.
+CommStats run_initial_training(const SessionContext& ctx);
 
 /// Batch retraining (Section IV-B): per-class batch hypervectors of size B
 /// travel up, one ReducePartial envelope per live edge (class-major,
 /// batch-ascending sections), and drive perceptron retraining at every
 /// level. Appends (deduplicated) to the straggler list.
-CommStats run_batch_retraining(const SessionContext& ctx,
-                               const TrainData& data);
+CommStats run_batch_retraining(const SessionContext& ctx);
 
 /// Online-update residual propagation (Section IV-D, Figure 5b): each node
 /// folds its children's delivered residuals into its model and ships the
@@ -118,8 +110,8 @@ CommStats run_reintegration(const SessionContext& ctx);
 /// contributions were parked against the dead parent are unparked (the
 /// rebuild consumed their full state). No-op when the node or its path to
 /// the root is still believed down.
-CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
-                     net::NodeId rejoined, std::uint64_t incarnation);
+CommStats run_rejoin(const SessionContext& ctx, net::NodeId rejoined,
+                     std::uint64_t incarnation);
 
 /// Adaptive dimensionality (DESIGN.md §14): regenerate the k least
 /// discriminating encoder dimensions and propagate the per-class deltas as
@@ -128,12 +120,11 @@ CommStats run_rejoin(const SessionContext& ctx, const TrainData& data,
 /// exactly one leaf dimension) and requests flow top-down along delivering
 /// links; in holographic mode each leaf with a live path to the root scores
 /// itself. Leaves re-derive the flagged projection rows, re-encode exactly
-/// those dimensions of their training samples, and the k-column delta
-/// patches climb hop by hop, each ancestor lifting them through its
-/// aggregator and applying them in place. Requires `data.raw`.
+/// those dimensions of their loaded samples and patch them into their stored
+/// encodings, and the k-column delta patches climb hop by hop, each ancestor
+/// lifting them through its aggregator and applying them in place.
 CommStats run_dimension_regeneration(const SessionContext& ctx,
-                                     const TrainData& data, std::size_t k,
-                                     std::uint32_t round);
+                                     std::size_t k, std::uint32_t round);
 
 /// Posts a NodeLeave from `node` to its parent (accounted like any other
 /// envelope). Membership bookkeeping only — the detector, not this

@@ -248,7 +248,7 @@ TEST(CollectiveScatter, FusedFrameMatchesPerClassDelivery) {
                                     16, 99);
   const std::vector<hdc::AccumHV> expect{reference.aggregate_accum(slots[0]),
                                          reference.aggregate_accum(slots[1])};
-  EXPECT_EQ(fused.finish_initial_training({}, {}), expect);
+  EXPECT_EQ(fused.finish_initial_training(), expect);
 }
 
 TEST(CollectiveScatter, MalformedFusedFramesAreProtocolViolations) {
@@ -257,6 +257,10 @@ TEST(CollectiveScatter, MalformedFusedFramesAreProtocolViolations) {
   const NodeId child = topo.children(gw).front();
   proto::NodeRuntime rt;
   rt.init(gw, topo, 8, 2);
+  // The aggregator supplies the child dimension every section is checked
+  // against.
+  rt.install_aggregator(std::make_unique<hier::HierEncoder>(
+      std::vector<std::size_t>(topo.children(gw).size(), 8), 8, 99));
 
   const std::vector<hdc::AccumHV> two{random_accum(8, 3, 920),
                                       random_accum(8, 3, 921)};

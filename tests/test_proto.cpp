@@ -14,8 +14,6 @@
 #include "hdc/random.hpp"
 #include "hdc/wire.hpp"
 #include "hier/hier_encoder.hpp"
-#include "net/medium.hpp"
-#include "net/simulator.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "proto/bus.hpp"
@@ -24,6 +22,7 @@
 #include "proto/node_runtime.hpp"
 #include "proto/section_codec.hpp"
 #include "proto/types.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -605,37 +604,6 @@ TEST(LocalBus, DeliversThroughRealCodecAndChargesWireSize) {
   EXPECT_EQ(stats.messages, 1u);
 }
 
-TEST(SimulatorBus, DeliversOverTheEventSimulator) {
-  const auto topo = net::Topology::paper_tree(4);
-  net::Simulator sim(topo, net::medium(net::MediumKind::kWired1G));
-  proto::SimulatorBus bus(sim);
-
-  const net::NodeId leaf = topo.leaves().front();
-  const net::NodeId parent = topo.parent(leaf);
-  std::vector<Envelope> seen;
-  bus.subscribe(parent, [&](const Envelope& env) { seen.push_back(env); });
-
-  proto::CommStats stats;
-  bus.set_charge(&stats);
-  const Envelope env{
-      proto::kProtoVersion, leaf, parent,
-      proto::ReducePartial{proto::kReduceResidual,
-                           static_cast<std::uint32_t>(leaf),
-                           {random_accum(80, 7, 4), skewed_accum(80, 5)}}};
-  bus.post(env);
-  EXPECT_TRUE(seen.empty());  // nothing lands until the simulator runs
-  sim.run();
-
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].msg, env.msg);
-  EXPECT_EQ(bus.delivered(), 1u);
-  EXPECT_EQ(bus.decode_failures(), 0u);
-  EXPECT_EQ(stats, (proto::CommStats{proto::wire_size(env.msg), 1}));
-  // The simulator charged the framed bytes on the link (header + payload
-  // prefixes), strictly more than the canonical accounting.
-  EXPECT_GT(sim.total_bytes_transferred(), stats.bytes);
-}
-
 // ---- NodeRuntime state machine ---------------------------------------------
 
 using Phase = proto::NodeRuntime::Phase;
@@ -778,8 +746,10 @@ std::size_t well_formed_sections(Frame frame) {
   return frame == Frame::kBatch ? 3 : Gateway::kClasses;
 }
 
-const std::vector<hdc::AccumHV>& sections_of(const Message& msg) {
-  if (const auto* sync = std::get_if<proto::StateSync>(&msg)) {
+/// The class-set sections of a StateSync or ReducePartial (const or not).
+template <typename Msg>
+auto& sections_of(Msg& msg) {
+  if (auto* sync = std::get_if<proto::StateSync>(&msg)) {
     return sync->sections;
   }
   return std::get<proto::ReducePartial>(msg).sections;
@@ -790,6 +760,10 @@ TEST(NodeRuntime, ModelBearingMessagesRequireTheirPhase) {
   const net::NodeId gw = topo.parent(topo.leaves().front());
   proto::NodeRuntime rt;
   rt.init(gw, topo, /*dim=*/32, /*num_classes=*/2);
+  // The aggregator supplies the child dimension every section is checked
+  // against.
+  rt.install_aggregator(std::make_unique<hier::HierEncoder>(
+      std::vector<std::size_t>(topo.children(gw).size(), 32), 32, 99));
   EXPECT_EQ(rt.role(), proto::NodeRuntime::Role::kGateway);
   EXPECT_EQ(rt.phase(), proto::NodeRuntime::Phase::kIdle);
 
@@ -825,6 +799,18 @@ TEST(NodeRuntime, RejectsNonChildSendersAndBadClassIds) {
                                       make_frame(frame, gw.child, bad)}),
                    std::logic_error)
           << where << " sections " << bad;
+    }
+    // Every section must have the sender's dimension: a zero-length section
+    // would otherwise file as an absent child, a wrong-length one reach the
+    // aggregator.
+    for (const std::size_t dim : {std::size_t{0}, Gateway::kDim + 1}) {
+      Gateway gw(accepting_phase(frame));
+      Message msg = make_frame(frame, gw.child, good);
+      sections_of(msg).back().assign(dim, 1);
+      EXPECT_THROW(
+          gw.rt.on_envelope({proto::kProtoVersion, gw.child, gw.id, msg}),
+          std::logic_error)
+          << where << " section dim " << dim;
     }
     // A leaf under the other gateway is not this gateway's child.
     Gateway gw(accepting_phase(frame));
@@ -865,7 +851,7 @@ TEST(NodeRuntime, EveryPhaseTakesExactlyTheFramesItsSessionPosts) {
       switch (frame) {
         case Frame::kInitial:
         case Frame::kStateSync:
-          EXPECT_EQ(gw.rt.finish_initial_training({}, {}),
+          EXPECT_EQ(gw.rt.finish_initial_training(),
                     gw.lifted(sections_of(msg)))
               << where;
           break;
@@ -884,7 +870,7 @@ TEST(NodeRuntime, EveryPhaseTakesExactlyTheFramesItsSessionPosts) {
           const auto lifted = gw.lifted(sections_of(msg));
           const std::vector<std::vector<hdc::AccumHV>> expect{
               {lifted[0]}, {lifted[1], lifted[2]}};
-          EXPECT_EQ(gw.rt.finish_batch_retraining({}, {}), expect) << where;
+          EXPECT_EQ(gw.rt.finish_batch_retraining(), expect) << where;
           break;
         }
         case Frame::kDimensionPatch:
@@ -976,6 +962,61 @@ TEST(NodeRuntime, DimensionPatchRequiresRegenPhaseAndParentSender) {
   // A well-formed request from the parent is filed for the finish step.
   EXPECT_NO_THROW(rt.on_envelope(request));
   EXPECT_EQ(rt.regen_request(), (std::vector<std::uint32_t>{3, 17}));
+}
+
+TEST(NodeRuntime, RegenerationPatchesLoadedEncodingsToAFullEncode) {
+  // The reference for the in-place patch: after each regeneration round a
+  // leaf's stored encodings equal a from-scratch encode of its slices under
+  // the regenerated projection. The second round re-draws a dimension the
+  // first already replaced, so its delta reads the patched values.
+  const auto topo = net::Topology::paper_tree(4);
+  const net::NodeId leaf = topo.leaves().front();
+  constexpr std::size_t kFeatures = 9;
+  constexpr std::size_t kDim = 200;
+  constexpr std::size_t kSamples = 40;
+  constexpr std::size_t kClasses = 3;
+  std::vector<std::vector<float>> slices(kSamples);
+  std::vector<std::size_t> labels(kSamples);
+  hdc::Rng rng(5);
+  for (std::size_t s = 0; s < kSamples; ++s) {
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      slices[s].push_back(rng.gaussian());
+    }
+    labels[s] = s % kClasses;
+  }
+  runtime::ThreadPool pool(2);
+  const std::vector<std::vector<std::uint32_t>> rounds{{2, 17, 18, 150, 199},
+                                                       {17, 60}};
+  for (const auto kind :
+       {hdc::EncoderKind::kRbfDense, hdc::EncoderKind::kRbfSparse}) {
+    for (const auto mode :
+         {hdc::ProjectionMode::kStored, hdc::ProjectionMode::kDeterministic}) {
+      const auto where = ::testing::Message()
+                         << "kind " << static_cast<int>(kind) << " mode "
+                         << hdc::to_string(mode);
+      proto::NodeRuntime rt;
+      rt.init(leaf, topo, kDim, kClasses);
+      rt.install_leaf_encoder(
+          hdc::make_encoder(kind, kFeatures, kDim, 77, mode));
+      rt.load_training(slices, labels, pool);
+      for (std::uint32_t r = 0; r < rounds.size(); ++r) {
+        const std::vector<hdc::BipolarHV> before(rt.train_encodings().begin(),
+                                                 rt.train_encodings().end());
+        rt.begin_dimension_regen(r + 1);
+        rt.set_regen_request(rounds[r]);
+        EXPECT_EQ(rt.finish_dimension_regen_leaf().dims, rounds[r]) << where;
+        const auto stored = rt.train_encodings();
+        ASSERT_EQ(stored.size(), kSamples) << where;
+        EXPECT_NE(std::vector<hdc::BipolarHV>(stored.begin(), stored.end()),
+                  before)
+            << where << " round " << r;
+        for (std::size_t s = 0; s < kSamples; ++s) {
+          EXPECT_EQ(stored[s], rt.leaf_encoder().encode(slices[s]))
+              << where << " round " << r << " sample " << s;
+        }
+      }
+    }
+  }
 }
 
 TEST(NodeRuntime, ProbesAndQueriesAreCountedNotFiled) {
