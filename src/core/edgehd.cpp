@@ -154,7 +154,7 @@ EdgeHdSystem::EdgeHdSystem(const data::Dataset& ds, net::Topology topology,
   }
 
   // Leaves first so concatenation-mode internal dims can be summed upward.
-  for (NodeId id : bottom_up_order()) {
+  for (NodeId id : topology_.bottom_up()) {
     proto::NodeRuntime& rt = nodes_[id];
     if (topology_.is_leaf(id)) {
       const std::size_t dim = alloc_.dims[id];
@@ -204,6 +204,7 @@ proto::SessionContext EdgeHdSystem::session_context() {
   ctx.topology = &topology_;
   ctx.nodes = nodes_;
   ctx.bus = bus_.get();
+  ctx.pool = pool_.get();
   ctx.liveness = liveness();
   ctx.num_classes = ds_.num_classes;
   ctx.batch_size = config_.batch_size;
@@ -333,15 +334,6 @@ CommStats EdgeHdSystem::announce_leave(NodeId node, bool planned) {
   return proto::announce_leave(session_context(), node, inc, planned);
 }
 
-std::vector<NodeId> EdgeHdSystem::bottom_up_order() const {
-  std::vector<NodeId> order;
-  order.reserve(topology_.num_nodes());
-  for (std::size_t level = 1; level <= topology_.depth(); ++level) {
-    for (NodeId id : topology_.nodes_at_level(level)) order.push_back(id);
-  }
-  return order;
-}
-
 std::vector<BipolarHV> EdgeHdSystem::encode_all(
     std::span<const float> x, const net::HealthMask& world) const {
   if (x.size() != ds_.num_features) {
@@ -349,7 +341,7 @@ std::vector<BipolarHV> EdgeHdSystem::encode_all(
   }
   const net::Liveness live(&world, nullptr);
   std::vector<BipolarHV> hvs(topology_.num_nodes());
-  for (NodeId id : bottom_up_order()) {
+  for (NodeId id : topology_.bottom_up()) {
     const proto::NodeRuntime& rt = nodes_[id];
     if (!live.node_up(id)) {
       hvs[id] = BipolarHV(rt.dim(), 0);
@@ -408,17 +400,17 @@ void EdgeHdSystem::ensure_test_encoded() const {
   encoded_test_.assign(topology_.num_nodes(), {});
   packed_test_.assign(topology_.num_nodes(), {});
   for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
+    if (!has_classifier(id)) continue;
     encoded_test_[id].resize(ds_.test_size());
-    if (has_classifier(id)) packed_test_[id].resize(ds_.test_size());
+    packed_test_[id].resize(ds_.test_size());
   }
   runtime::parallel_for(*pool_, ds_.test_size(), [&](std::size_t s) {
     auto hvs = encode_all(ds_.test_x[s]);
     for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
-      // Classifier nodes additionally keep the query packed, so every later
-      // evaluation pass feeds the popcount similarity path directly.
-      if (has_classifier(id)) {
-        packed_test_[id][s] = hdc::kernels::pack_query(hvs[id]);
-      }
+      // Only classifier nodes are evaluated; they also keep the query packed
+      // for the popcount similarity path.
+      if (!has_classifier(id)) continue;
+      packed_test_[id][s] = hdc::kernels::pack_query(hvs[id]);
       encoded_test_[id][s] = std::move(hvs[id]);
     }
   });

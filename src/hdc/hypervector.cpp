@@ -36,6 +36,12 @@ void deaccumulate(AccumHV& acc, std::span<const std::int32_t> other) {
   for (std::size_t i = 0; i < other.size(); ++i) acc[i] -= other[i];
 }
 
+bool is_zero(std::span<const AccumHV> accums) {
+  const auto zero = [](std::int32_t v) { return v == 0; };
+  return std::ranges::all_of(
+      accums, [&](const AccumHV& a) { return std::ranges::all_of(a, zero); });
+}
+
 BipolarHV permute(std::span<const std::int8_t> v, std::size_t shift) {
   const std::size_t n = v.size();
   BipolarHV out(n);

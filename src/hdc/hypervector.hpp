@@ -42,6 +42,9 @@ void accumulate(AccumHV& acc, std::span<const std::int32_t> other);
 /// Subtracts integer accumulators element-wise: acc -= other.
 void deaccumulate(AccumHV& acc, std::span<const std::int32_t> other);
 
+/// True when every component of every accumulator is zero.
+bool is_zero(std::span<const AccumHV> accums);
+
 /// Cyclic rotation by `shift` positions (the HDC "permutation" operation),
 /// used to encode sequence/order information.
 BipolarHV permute(std::span<const std::int8_t> v, std::size_t shift);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace edgehd::net {
@@ -71,6 +72,15 @@ Topology::Topology(std::vector<NodeId> parents) : parents_(std::move(parents)) {
   if (processed != n) {
     throw std::invalid_argument("Topology: parent vector contains a cycle");
   }
+
+  // Nodes by level, CSR like the children: a counting sort visiting ids in
+  // order, so each level lists its nodes ascending.
+  level_off_.assign(levels_[root_] + 1, 0);
+  for (NodeId id = 0; id < n; ++id) ++level_off_[levels_[id]];
+  std::partial_sum(level_off_.begin(), level_off_.end(), level_off_.begin());
+  level_list_.resize(n);
+  std::vector<std::size_t> next(level_off_.begin(), level_off_.end() - 1);
+  for (NodeId id = 0; id < n; ++id) level_list_[next[levels_[id] - 1]++] = id;
 }
 
 NodeId Topology::parent(NodeId id) const {
@@ -107,12 +117,10 @@ std::vector<NodeId> Topology::leaves() const {
   return out;
 }
 
-std::vector<NodeId> Topology::nodes_at_level(std::size_t level) const {
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < num_nodes(); ++id) {
-    if (levels_[id] == level) out.push_back(id);
-  }
-  return out;
+std::span<const NodeId> Topology::nodes_at_level(std::size_t level) const {
+  if (level == 0 || level > depth()) return {};
+  return {level_list_.data() + level_off_[level - 1],
+          level_off_[level] - level_off_[level - 1]};
 }
 
 std::size_t Topology::hops_to_root(NodeId id) const {

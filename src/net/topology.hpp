@@ -44,8 +44,13 @@ class Topology {
   /// All leaves, in node-id order.
   std::vector<NodeId> leaves() const;
 
-  /// All nodes at the given level, in node-id order.
-  std::vector<NodeId> nodes_at_level(std::size_t level) const;
+  /// Every node sorted by (level, id), leaves first: the one bottom-up
+  /// order, built at construction and valid for the Topology's lifetime.
+  std::span<const NodeId> bottom_up() const noexcept { return level_list_; }
+
+  /// The nodes at `level` in node-id order, a slice of bottom_up() (empty
+  /// outside 1..depth()).
+  std::span<const NodeId> nodes_at_level(std::size_t level) const;
 
   /// Number of hops from `id` up to the root.
   std::size_t hops_to_root(NodeId id) const;
@@ -80,6 +85,9 @@ class Topology {
   std::vector<std::size_t> child_off_;  ///< n + 1 offsets into child_list_
   std::vector<NodeId> child_list_;      ///< all children, grouped by parent
   std::vector<std::size_t> levels_;
+  // Level l's nodes are level_list_[level_off_[l - 1] .. level_off_[l]).
+  std::vector<std::size_t> level_off_;  ///< depth + 1 offsets
+  std::vector<NodeId> level_list_;      ///< every node, (level, id) order
   NodeId root_ = kNoNode;
 };
 

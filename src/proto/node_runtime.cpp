@@ -265,12 +265,11 @@ std::vector<AccumHV> NodeRuntime::checkpoint_state() const {
   return own_accums_;
 }
 
-hdc::AccumHV NodeRuntime::aggregate_inbox(std::size_t c) const {
-  const auto& kids = topology_->children(id_);
-  std::vector<AccumHV> slots(kids.size());
-  for (std::size_t ci = 0; ci < kids.size(); ++ci) {
+hdc::AccumHV NodeRuntime::aggregate_inbox(std::size_t c) {
+  std::vector<AccumHV> slots(inbox_.size());
+  for (std::size_t ci = 0; ci < inbox_.size(); ++ci) {
     slots[ci] = inbox_[ci][c].empty() ? AccumHV(child_dim(ci), 0)
-                                      : inbox_[ci][c];
+                                      : std::move(inbox_[ci][c]);
   }
   return aggregator().aggregate_accum(slots);
 }
@@ -286,26 +285,28 @@ void NodeRuntime::begin_initial_training() {
   }
 }
 
-const std::vector<AccumHV>& NodeRuntime::finish_initial_training() {
+std::vector<AccumHV> NodeRuntime::finish_initial_training() {
   require_phase(Phase::kInitialTraining, "finish_initial_training");
-  own_accums_.assign(num_classes_, AccumHV(dim_, 0));
+  std::vector<AccumHV> accums(num_classes_, AccumHV(dim_, 0));
   if (role_ == Role::kLeaf) {
     for (std::size_t s = 0; s < train_encoded_.size(); ++s) {
-      hdc::bundle_into(own_accums_[train_labels_[s]], train_encoded_[s]);
+      hdc::bundle_into(accums[train_labels_[s]], train_encoded_[s]);
     }
   } else {
     for (std::size_t c = 0; c < num_classes_; ++c) {
-      own_accums_[c] = aggregate_inbox(c);
+      accums[c] = aggregate_inbox(c);
     }
   }
   if (classifier_ != nullptr) {
     for (std::size_t c = 0; c < num_classes_; ++c) {
-      classifier_->set_class_accumulator(c, own_accums_[c]);
+      classifier_->set_class_accumulator(c, accums[c]);
     }
+  } else {
+    own_accums_ = accums;
   }
   inbox_.clear();
   phase_ = Phase::kIdle;
-  return own_accums_;
+  return accums;
 }
 
 // ---- batch retraining -------------------------------------------------------
@@ -313,7 +314,6 @@ const std::vector<AccumHV>& NodeRuntime::finish_initial_training() {
 void NodeRuntime::begin_batch_retraining(const ClassBatches& batches) {
   phase_ = Phase::kBatchRetraining;
   batches_ = &batches;
-  own_batches_.clear();
   if (role_ != Role::kLeaf) {
     batch_inbox_.assign(topology_->children(id_).size(), {});
     for (auto& per_child : batch_inbox_) {
@@ -325,30 +325,27 @@ void NodeRuntime::begin_batch_retraining(const ClassBatches& batches) {
   }
 }
 
-const std::vector<std::vector<AccumHV>>&
-NodeRuntime::finish_batch_retraining() {
+std::vector<std::vector<AccumHV>> NodeRuntime::finish_batch_retraining() {
   require_phase(Phase::kBatchRetraining, "finish_batch_retraining");
   const ClassBatches& batches = *batches_;
-  own_batches_.assign(num_classes_, {});
+  std::vector<std::vector<AccumHV>> out(num_classes_);
   if (role_ == Role::kLeaf) {
     for (std::size_t c = 0; c < num_classes_; ++c) {
       for (const auto& batch : batches[c]) {
         AccumHV acc(dim_, 0);
         for (std::size_t s : batch) hdc::bundle_into(acc, train_encoded_[s]);
-        own_batches_[c].push_back(std::move(acc));
+        out[c].push_back(std::move(acc));
       }
     }
   } else {
-    const auto& kids = topology_->children(id_);
-    std::vector<AccumHV> slots(kids.size());
+    std::vector<AccumHV> slots(batch_inbox_.size());
     for (std::size_t c = 0; c < num_classes_; ++c) {
       for (std::size_t b = 0; b < batches[c].size(); ++b) {
-        for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-          slots[ci] = batch_inbox_[ci][c][b].empty()
-                          ? AccumHV(child_dim(ci), 0)
-                          : batch_inbox_[ci][c][b];
+        for (std::size_t ci = 0; ci < batch_inbox_.size(); ++ci) {
+          AccumHV& in = batch_inbox_[ci][c][b];
+          slots[ci] = in.empty() ? AccumHV(child_dim(ci), 0) : std::move(in);
         }
-        own_batches_[c].push_back(aggregator().aggregate_accum(slots));
+        out[c].push_back(aggregator().aggregate_accum(slots));
       }
     }
   }
@@ -363,7 +360,7 @@ NodeRuntime::finish_batch_retraining() {
       std::vector<hdc::BipolarHV> hvs;
       std::vector<std::size_t> batch_labels;
       for (std::size_t c = 0; c < num_classes_; ++c) {
-        for (const auto& acc : own_batches_[c]) {
+        for (const auto& acc : out[c]) {
           hvs.push_back(hdc::binarize(acc));
           batch_labels.push_back(c);
         }
@@ -374,7 +371,7 @@ NodeRuntime::finish_batch_retraining() {
   batch_inbox_.clear();
   batches_ = nullptr;
   phase_ = Phase::kIdle;
-  return own_batches_;
+  return out;
 }
 
 // ---- residual propagation ---------------------------------------------------
@@ -403,17 +400,7 @@ std::vector<AccumHV> NodeRuntime::finish_residual_propagation() {
     }
     // Figure 5b step (2): update this node's model with everything known
     // here — its own residuals plus the children's, re-encoded.
-    bool zero = true;
-    for (const auto& a : total) {
-      for (std::int32_t v : a) {
-        if (v != 0) {
-          zero = false;
-          break;
-        }
-      }
-      if (!zero) break;
-    }
-    if (!zero) classifier_->apply_external_residuals(total);
+    if (!hdc::is_zero(total)) classifier_->apply_external_residuals(total);
   }
   inbox_.clear();
   phase_ = Phase::kIdle;
@@ -442,7 +429,7 @@ std::vector<AccumHV> NodeRuntime::finish_reintegration(net::NodeId child) {
   for (std::size_t c = 0; c < num_classes_; ++c) {
     for (std::size_t cj = 0; cj < kids.size(); ++cj) {
       slots[cj] = cj == ci && !inbox_[ci][c].empty()
-                      ? inbox_[ci][c]
+                      ? std::move(inbox_[ci][c])
                       : AccumHV(child_dim(cj), 0);
     }
     delta[c] = aggregator().aggregate_accum(slots);
@@ -478,6 +465,18 @@ void NodeRuntime::set_regen_request(std::vector<std::uint32_t> dims) {
     }
   }
   regen_request_ = std::move(dims);
+}
+
+void NodeRuntime::apply_patch(const DimensionPatch& patch) {
+  for (std::size_t c = 0; c < num_classes_; ++c) {
+    if (classifier_ != nullptr) {
+      classifier_->add_to_dimensions(c, patch.dims, patch.columns[c]);
+    } else if (!own_accums_.empty()) {
+      for (std::size_t j = 0; j < patch.dims.size(); ++j) {
+        own_accums_[c][patch.dims[j]] += patch.columns[c][j];
+      }
+    }
+  }
 }
 
 DimensionPatch NodeRuntime::finish_dimension_regen_leaf() {
@@ -518,18 +517,7 @@ DimensionPatch NodeRuntime::finish_dimension_regen_leaf() {
     out.generations[j] = enc.dimension_generation(out.dims[j]);
   }
 
-  if (!own_accums_.empty()) {
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      for (std::size_t j = 0; j < k; ++j) {
-        own_accums_[c][out.dims[j]] += out.columns[c][j];
-      }
-    }
-  }
-  if (classifier_ != nullptr) {
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      classifier_->add_to_dimensions(c, out.dims, out.columns[c]);
-    }
-  }
+  apply_patch(out);
   regen_request_.clear();
   phase_ = Phase::kIdle;
   return out;
@@ -549,14 +537,8 @@ DimensionPatch NodeRuntime::finish_dimension_regen_internal() {
   for (std::size_t ci = 0; ci < kids.size(); ++ci) {
     offs[ci + 1] = offs[ci] + cdims[ci];
   }
-  bool any = false;
-  for (const auto& p : patch_inbox_) {
-    if (!p.dims.empty()) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) {
+  if (std::all_of(patch_inbox_.begin(), patch_inbox_.end(),
+                  [](const DimensionPatch& p) { return p.dims.empty(); })) {
     patch_inbox_.clear();
     regen_request_.clear();
     phase_ = Phase::kIdle;
@@ -612,18 +594,7 @@ DimensionPatch NodeRuntime::finish_dimension_regen_internal() {
     }
   }
 
-  if (!own_accums_.empty()) {
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      for (std::size_t j = 0; j < out.dims.size(); ++j) {
-        own_accums_[c][out.dims[j]] += out.columns[c][j];
-      }
-    }
-  }
-  if (classifier_ != nullptr) {
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      classifier_->add_to_dimensions(c, out.dims, out.columns[c]);
-    }
-  }
+  apply_patch(out);
   patch_inbox_.clear();
   regen_request_.clear();
   phase_ = Phase::kIdle;

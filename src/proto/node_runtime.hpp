@@ -154,9 +154,10 @@ class NodeRuntime {
 
   /// Closes the phase: a leaf bundles its loaded samples per class; a
   /// gateway/central node aggregates the inbox (absent children contribute
-  /// zeros). Installs the result into the classifier when one is hosted and
-  /// returns the node's k class accumulators (what ships upward).
-  const std::vector<hdc::AccumHV>& finish_initial_training();
+  /// zeros). Installs the result into the classifier when one is hosted,
+  /// else keeps a copy as the checkpoint, and returns the node's k class
+  /// accumulators (what ships upward).
+  std::vector<hdc::AccumHV> finish_initial_training();
 
   // ---- batch retraining (Section IV-B) ------------------------------------
 
@@ -167,8 +168,8 @@ class NodeRuntime {
   /// hypervectors, then retrains the hosted classifier — a leaf on its
   /// loaded per-sample encodings, an internal node on the binarized batch
   /// hypervectors in (class asc, batch asc) order. Returns the node's batch
-  /// accumulators, [class][batch].
-  const std::vector<std::vector<hdc::AccumHV>>& finish_batch_retraining();
+  /// accumulators, [class][batch]; the node keeps no copy.
+  std::vector<std::vector<hdc::AccumHV>> finish_batch_retraining();
 
   // ---- residual propagation (Section IV-D, Figure 5b) ---------------------
 
@@ -235,9 +236,13 @@ class NodeRuntime {
   void file_class_set(net::NodeId src,
                       const std::vector<hdc::AccumHV>& sections,
                       const char* what);
-  /// Aggregates one class across the child inbox, zeros where absent.
-  hdc::AccumHV aggregate_inbox(std::size_t c) const;
+  /// Aggregates one class across the child inbox (moving the sections out),
+  /// zeros where absent.
+  hdc::AccumHV aggregate_inbox(std::size_t c);
   void require_phase(Phase expected, const char* what) const;
+  /// Adds a patch's per-class columns to the node's model: the classifier
+  /// when one is hosted, else the checkpoint.
+  void apply_patch(const DimensionPatch& patch);
 
   net::NodeId id_ = net::kNoNode;
   const net::Topology* topology_ = nullptr;
@@ -270,8 +275,7 @@ class NodeRuntime {
   std::vector<std::uint32_t> regen_request_;
   std::uint32_t regen_round_ = 0;
   std::vector<DimensionPatch> patch_inbox_;
-  std::vector<hdc::AccumHV> own_accums_;   ///< finish_initial_training result
-  std::vector<std::vector<hdc::AccumHV>> own_batches_;  ///< [class][batch]
+  std::vector<hdc::AccumHV> own_accums_;  ///< checkpoint if no classifier
 
   std::uint64_t probes_received_ = 0;
   std::uint64_t queries_received_ = 0;

@@ -21,6 +21,7 @@
 #include "proto/messages.hpp"
 #include "proto/node_runtime.hpp"
 #include "proto/section_codec.hpp"
+#include "proto/sessions.hpp"
 #include "proto/types.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -1034,6 +1035,77 @@ TEST(NodeRuntime, ProbesAndQueriesAreCountedNotFiled) {
   EXPECT_EQ(rt.probes_received(), 1u);
   EXPECT_EQ(rt.queries_received(), 2u);
   EXPECT_EQ(rt.phase(), proto::NodeRuntime::Phase::kIdle);
+}
+
+// ---- sessions ---------------------------------------------------------------
+
+TEST(Sessions, AThrowInsideALevelPostsOnlyTheNodesBeforeIt) {
+  // A holographic star with RBF / linear-level / RBF leaves: the middle
+  // leaf's encoder cannot regenerate, so its finish step throws while the
+  // leaf level closes on the pool. The session rethrows that error after
+  // posting exactly what a serial walk would have posted before reaching
+  // it: the first leaf's DimensionPatch.
+  const auto topo = net::Topology::star(3);
+  const auto leaves = topo.leaves();
+  const std::size_t n = topo.num_nodes();
+  constexpr std::size_t kFeatures = 4;
+  constexpr std::size_t kDim = 64;
+  constexpr std::size_t kClasses = 2;
+  constexpr std::size_t kSamples = 12;
+  std::vector<std::vector<float>> slices(kSamples);
+  std::vector<std::size_t> labels(kSamples);
+  hdc::Rng rng(9);
+  for (std::size_t s = 0; s < kSamples; ++s) {
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      slices[s].push_back(rng.gaussian());
+    }
+    labels[s] = s % kClasses;
+  }
+  const hdc::EncoderKind kinds[] = {hdc::EncoderKind::kRbfSparse,
+                                    hdc::EncoderKind::kLinearLevel,
+                                    hdc::EncoderKind::kRbfSparse};
+  for (const std::size_t workers : {1, 2, 8}) {
+    runtime::ThreadPool pool(workers);
+    std::vector<proto::NodeRuntime> nodes(n);
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      proto::NodeRuntime& rt = nodes[leaves[i]];
+      rt.init(leaves[i], topo, kDim, kClasses);
+      rt.install_leaf_encoder(
+          hdc::make_encoder(kinds[i], kFeatures, kDim, 40 + i));
+      rt.load_training(slices, labels, pool);
+    }
+    nodes[topo.root()].init(topo.root(), topo, kDim, kClasses);
+    nodes[topo.root()].install_aggregator(std::make_unique<hier::HierEncoder>(
+        std::vector<std::size_t>(leaves.size(), kDim), kDim, 99));
+
+    proto::LocalBus bus(n);
+    std::size_t patches = 0;
+    for (net::NodeId id = 0; id < n; ++id) {
+      bus.subscribe(id, [&nodes, &patches, id](const Envelope& env) {
+        if (std::holds_alternative<proto::DimensionPatch>(env.msg)) ++patches;
+        nodes[id].on_envelope(env);
+      });
+    }
+    std::vector<std::vector<hdc::AccumHV>> pending_contrib(n);
+    std::vector<std::vector<hdc::AccumHV>> pending_residuals(n);
+    std::vector<net::NodeId> stragglers;
+    proto::SessionContext ctx;
+    ctx.topology = &topo;
+    ctx.nodes = nodes;
+    ctx.bus = &bus;
+    ctx.pool = &pool;
+    ctx.num_classes = kClasses;
+    ctx.labels = labels;
+    ctx.pending_contrib = &pending_contrib;
+    ctx.pending_residuals = &pending_residuals;
+    ctx.stragglers = &stragglers;
+
+    proto::run_initial_training(ctx);
+    EXPECT_THROW(proto::run_dimension_regeneration(ctx, 4, 1),
+                 std::logic_error)
+        << "workers " << workers;
+    EXPECT_EQ(patches, 1u) << "workers " << workers;
+  }
 }
 
 }  // namespace
