@@ -591,6 +591,46 @@ TEST(EdgeHdFaults, ResidualPropagationHoldsBackAndShipsOnRecovery) {
   EXPECT_GE(recovered.bytes, 0u);
 }
 
+TEST(EdgeHdFaults, SiblingRejoinKeepsReintegratedContributions) {
+  // Leaf 0's uplink is out during initial training, so its contribution is
+  // reintegrated afterwards. A later rejoin of the sibling gateway rebuilds
+  // the root from every gateway's checkpoint; the checkpoint of the gateway
+  // above leaf 0 must include the reintegrated delta whether or not that
+  // gateway hosts a classifier (classify_min_level 2 vs 3).
+  const auto ds = fault_dataset();
+  const auto topo = net::Topology::paper_tree(4);
+  const NodeId root = topo.root();
+  for (const std::size_t min_level : {2u, 3u}) {
+    auto cfg = fault_cfg();
+    cfg.leaf_encoder = hdc::EncoderKind::kLinearLevel;
+    cfg.classify_min_level = min_level;
+    core::EdgeHdSystem healthy(ds, topo, cfg);
+    healthy.train_initial();
+
+    core::EdgeHdSystem faulty(ds, topo, cfg);
+    FaultPlan plan;
+    plan.outage(0);
+    faulty.set_fault_plan(plan);
+    faulty.train_initial();
+    faulty.clear_health();
+    const auto root_l1 = [&] {
+      std::int64_t l1 = 0;
+      for (std::size_t c = 0; c < ds.num_classes; ++c) {
+        const auto& want = healthy.classifier_at(root).class_accumulator(c);
+        const auto& got = faulty.classifier_at(root).class_accumulator(c);
+        for (std::size_t d = 0; d < want.size(); ++d) {
+          l1 += std::abs(std::int64_t{want[d]} - got[d]);
+        }
+      }
+      return l1;
+    };
+    ASSERT_GT(faulty.reintegrate_stragglers().bytes, 0u);
+    const std::int64_t reintegrated = root_l1();
+    ASSERT_GT(faulty.rejoin_node(5, 1).bytes, 0u);
+    EXPECT_LE(root_l1(), reintegrated) << "classify_min_level " << min_level;
+  }
+}
+
 TEST(EdgeHdFaults, DegradedInferenceIsIdenticalAcrossWorkerCounts) {
   const auto ds = fault_dataset(300, 60);
   auto cfg1 = fault_cfg();
