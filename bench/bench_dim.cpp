@@ -3,11 +3,11 @@
 // on Table-I workloads, swept over D and the regeneration fraction.
 //
 // Section 1 (memory): for each (dataset, D), train once with the legacy
-// stored projection rows and once with the deterministic provider, and
-// compare root accuracy and the leaves' resident projection bytes. The
-// deterministic provider re-derives rows per chunk from counter streams, so
-// its resident state is ~zero until regeneration allocates its 2-byte
-// generation counters. Stored and deterministic draws are different (equally
+// stored projection rows and once with counter-derived rows at projection
+// budget 0 (the memory-constrained device), and compare root accuracy and
+// the leaves' resident projection bytes. At budget 0 the provider re-derives
+// rows per chunk from counter streams, so its resident state is ~zero until
+// regeneration allocates its 2-byte generation counters. Stored and deterministic draws are different (equally
 // distributed) random projections, so each point is averaged over a few
 // system seeds and the gate compares the means.
 //
@@ -48,10 +48,13 @@ struct TrainedRun {
 
 TrainedRun run_once(const bench::HierSetup& setup, std::size_t total_dim,
                     hdc::ProjectionMode mode, hier::AggregationMode agg,
-                    std::uint64_t seed) {
+                    std::uint64_t seed,
+                    std::size_t budget_bytes =
+                        hdc::kDefaultProjectionBudgetBytes) {
   core::SystemConfig cfg = setup.cfg;
   cfg.total_dim = total_dim;
   cfg.projection_mode = mode;
+  cfg.projection_budget_bytes = budget_bytes;
   cfg.aggregation = agg;
   cfg.seed = seed;
   core::EdgeHdSystem sys(setup.ds, setup.topo, cfg);
@@ -112,7 +115,8 @@ int main(int argc, char** argv) {
                                      hier::AggregationMode::kHolographic, seed);
         const auto det =
             run_once(setup, d, hdc::ProjectionMode::kDeterministic,
-                     hier::AggregationMode::kHolographic, seed);
+                     hier::AggregationMode::kHolographic, seed,
+                     /*budget_bytes=*/0);
         acc_s += stored.accuracy / nseeds;
         acc_d += det.accuracy / nseeds;
         stored_b = stored.proj_bytes;

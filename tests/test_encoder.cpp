@@ -156,23 +156,29 @@ TEST(EncoderFactory, ProducesRequestedKinds) {
 
 // ---- adaptive dimensionality: deterministic projections + regeneration ----
 
-/// The two RFF encoder shapes under test, as (deterministic, materialized)
-/// twins sharing one seed. Dim 333 is deliberately not a multiple of the
-/// 8-row kernel blocks, so the chunked path exercises a padded tail.
+/// The two RFF encoder shapes under test, as (streamed, resident) twins
+/// sharing one seed: counter-derived rows at budget 0 and at the default
+/// budget. Dim 333 is deliberately not a multiple of the 8-row kernel
+/// blocks, so the chunked path exercises a padded tail.
 std::vector<std::pair<std::unique_ptr<Encoder>, std::unique_ptr<Encoder>>>
 twin_pairs() {
   std::vector<std::pair<std::unique_ptr<Encoder>, std::unique_ptr<Encoder>>> v;
   v.emplace_back(std::make_unique<RbfEncoder>(
                      20, 333, 77, 0.0F, RbfForm::kCosSin,
-                     ProjectionMode::kDeterministic),
+                     ProjectionMode::kDeterministic, /*budget_bytes=*/0),
                  std::make_unique<RbfEncoder>(20, 333, 77, 0.0F,
                                               RbfForm::kCosSin,
-                                              ProjectionMode::kMaterialized));
+                                              ProjectionMode::kDeterministic));
   v.emplace_back(
       std::make_unique<SparseRbfEncoder>(30, 333, 78, 0.8F, 0.0F,
-                                         ProjectionMode::kDeterministic),
+                                         ProjectionMode::kDeterministic,
+                                         /*budget_bytes=*/0),
       std::make_unique<SparseRbfEncoder>(30, 333, 78, 0.8F, 0.0F,
-                                         ProjectionMode::kMaterialized));
+                                         ProjectionMode::kDeterministic));
+  for (const auto& [det, mat] : v) {
+    EXPECT_EQ(det->projection_resident_bytes(), 0u);
+    EXPECT_GT(mat->projection_resident_bytes(), 0u);
+  }
   return v;
 }
 
@@ -188,9 +194,9 @@ TEST(ProjectionModes, DeterministicIsBitIdenticalToMaterializedTwin) {
 }
 
 TEST(ProjectionModes, ChunkedBatchesAreBitIdenticalAcrossThreadCounts) {
-  // The deterministic provider materializes row chunks into per-thread
-  // scratch; the result must not depend on how samples land on threads, and
-  // must equal both the per-sample path and the resident twin.
+  // The streamed provider derives row chunks into per-thread scratch; the
+  // result must not depend on how samples land on threads, and must equal
+  // both the per-sample path and the resident twin.
   for (const auto& [det, mat] : twin_pairs()) {
     Rng rng(6);
     std::vector<std::vector<float>> xs(37);
@@ -235,10 +241,23 @@ TEST(ProjectionModes, RegenerationStaysBitIdenticalAndBumpsGenerations) {
       }
     }
     EXPECT_GT(changed, 0u);
-    // A second bump moves to generation 2 and changes the rows again.
+    // A second round moves to generation 2, changes the rows again and
+    // keeps the twins bit-identical, batches included.
     det->regenerate_dimensions(dims);
+    mat->regenerate_dimensions(dims);
     EXPECT_EQ(det->dimension_generation(dims.front()), 2u);
-    EXPECT_NE(det->encode(x), after);
+    EXPECT_EQ(mat->dimension_generation(dims.front()), 2u);
+    const auto second = det->encode(x);
+    EXPECT_NE(second, after);
+    EXPECT_EQ(second, mat->encode(x));
+    EXPECT_EQ(det->encode_real(x), mat->encode_real(x));
+    std::vector<std::vector<float>> xs(19);
+    for (auto& v : xs) v = rng.gaussian_vector(det->input_dim());
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      edgehd::runtime::ThreadPool pool(workers);
+      EXPECT_EQ(det->encode_batch(xs, pool), mat->encode_batch(xs, pool))
+          << "workers=" << workers;
+    }
   }
 }
 
@@ -263,7 +282,7 @@ TEST(ProjectionModes, EncodeDimsMatchesFullEncodeGather) {
 
 TEST(ProjectionModes, DeterministicHoldsNoResidentProjection) {
   RbfEncoder det(16, 512, 9, 0.0F, RbfForm::kCosSin,
-                 ProjectionMode::kDeterministic);
+                 ProjectionMode::kDeterministic, /*budget_bytes=*/0);
   RbfEncoder sto(16, 512, 9, 0.0F, RbfForm::kCosSin, ProjectionMode::kStored);
   EXPECT_EQ(det.projection_resident_bytes(), 0u);
   EXPECT_GE(sto.projection_resident_bytes(), 512u * 16 * sizeof(float));
@@ -273,6 +292,46 @@ TEST(ProjectionModes, DeterministicHoldsNoResidentProjection) {
   // Out-of-range regeneration is rejected.
   EXPECT_THROW(det.regenerate_dimensions(std::vector<std::uint32_t>{512}),
                std::invalid_argument);
+}
+
+TEST(ProjectionModes, BudgetBoundarySwitchesResidencyNotEncodings) {
+  // Resident bytes of a counter-derived projection: 8-row-padded matrix,
+  // one float bias per row and, for the sparse encoder, one u32 window
+  // start per row. One byte short of that the rows are streamed.
+  const std::vector<std::uint32_t> regen{3, 64, 332};
+  const std::size_t gen_bytes = 333 * sizeof(std::uint16_t);
+  for (const auto kind : {EncoderKind::kRbfDense, EncoderKind::kRbfSparse}) {
+    const bool sparse = kind == EncoderKind::kRbfSparse;
+    const std::size_t cols = sparse ? 6 : 30;  // sparse window: 0.2 x 30
+    const std::size_t resident =
+        336 * cols * sizeof(float) + 333 * sizeof(float) +
+        (sparse ? 333 * sizeof(std::uint32_t) : 0);
+    std::vector<std::unique_ptr<Encoder>> encs;
+    for (const std::size_t budget : {resident - 1, resident, resident + 1}) {
+      encs.push_back(make_encoder(kind, 30, 333, 79,
+                                  ProjectionMode::kDeterministic, budget));
+    }
+    EXPECT_EQ(encs[0]->projection_resident_bytes(), 0u);
+    EXPECT_EQ(encs[1]->projection_resident_bytes(), resident);
+    EXPECT_EQ(encs[2]->projection_resident_bytes(), resident);
+    Rng rng(9);
+    std::vector<std::vector<float>> xs(11);
+    for (auto& x : xs) x = rng.gaussian_vector(30);
+    edgehd::runtime::ThreadPool pool(2);
+    for (int round = 0; round < 2; ++round) {
+      const auto want = encs[0]->encode_batch(xs, pool);
+      for (const auto& enc : encs) {
+        EXPECT_EQ(enc->encode_batch(xs, pool), want) << "round " << round;
+        EXPECT_EQ(enc->encode(xs[0]), want[0]) << "round " << round;
+      }
+      for (const auto& enc : encs) enc->regenerate_dimensions(regen);
+    }
+    // Regeneration adds the generation counters on either side of the
+    // boundary and never changes residency.
+    EXPECT_EQ(encs[0]->projection_resident_bytes(), gen_bytes);
+    EXPECT_EQ(encs[1]->projection_resident_bytes(), resident + gen_bytes);
+    EXPECT_EQ(encs[2]->projection_resident_bytes(), resident + gen_bytes);
+  }
 }
 
 TEST(ProjectionModes, LegacyStoredEncodingsAreUnchangedBySeedSplit) {
@@ -289,11 +348,12 @@ TEST(ProjectionModes, LegacyStoredEncodingsAreUnchangedBySeedSplit) {
 TEST(EncoderFactory, ForwardsProjectionMode) {
   for (const auto kind : {EncoderKind::kRbfDense, EncoderKind::kRbfSparse}) {
     const auto det =
-        make_encoder(kind, 12, 128, 1, ProjectionMode::kDeterministic);
+        make_encoder(kind, 12, 128, 1, ProjectionMode::kDeterministic, 0);
     const auto mat =
-        make_encoder(kind, 12, 128, 1, ProjectionMode::kMaterialized);
+        make_encoder(kind, 12, 128, 1, ProjectionMode::kDeterministic);
     EXPECT_TRUE(det->supports_regeneration());
     EXPECT_EQ(det->projection_resident_bytes(), 0u);
+    EXPECT_GT(mat->projection_resident_bytes(), 0u);
     Rng rng(2);
     const auto x = rng.gaussian_vector(12);
     EXPECT_EQ(det->encode(x), mat->encode(x));

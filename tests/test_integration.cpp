@@ -279,24 +279,30 @@ TEST(ObsInvariants, RoutedResultAccountingMatchesRegistry) {
 // ---- adaptive dimensionality across the hierarchy --------------------------
 
 TEST(Integration, DimensionRegenerationIsIdenticalAcrossProviders) {
-  // The zero-resident deterministic provider and its materialized twin must
-  // drive the *entire* pipeline — encode, train, score, regenerate, patch
-  // propagation, retrain — to identical models at every node, in both
-  // aggregation modes. Accuracy and mean confidence are continuous in the
-  // model state, so exact equality at every node is a model-identity check.
+  // Counter-derived rows streamed per chunk (budget 0) and kept resident
+  // (the default budget) must drive the *entire* pipeline — encode, train,
+  // score, two rounds of regenerate, patch propagation and retrain — to
+  // identical models at every node, in both aggregation modes. Accuracy and
+  // mean confidence are continuous in the model state, so exact equality at
+  // every node is a model-identity check, at 1/2/8 pool workers.
   for (const auto agg : {hier::AggregationMode::kConcatenation,
                          hier::AggregationMode::kHolographic}) {
-    auto run = [agg](hdc::ProjectionMode mode) {
+    auto run = [agg](std::size_t budget_bytes, std::size_t workers) {
       auto ds = data::make_synthetic("i7", 30, 3, {10, 10, 10}, 600, 150, 81,
                                      3.6F, 0.5F, 0.5F);
       data::zscore_normalize(ds);
       core::SystemConfig cfg;
       cfg.total_dim = 900;
       cfg.batch_size = 4;
-      cfg.projection_mode = mode;
+      cfg.projection_mode = hdc::ProjectionMode::kDeterministic;
+      cfg.projection_budget_bytes = budget_bytes;
+      cfg.num_threads = workers;
       cfg.aggregation = agg;
       core::EdgeHdSystem sys(ds, net::Topology::paper_tree(3), cfg);
+      EXPECT_EQ(sys.leaf_projection_bytes() == 0, budget_bytes == 0);
       sys.train_initial();
+      sys.retrain_batches();
+      sys.regenerate_dimensions(40);
       sys.retrain_batches();
       sys.regenerate_dimensions(40);
       sys.retrain_batches();
@@ -307,9 +313,12 @@ TEST(Integration, DimensionRegenerationIsIdenticalAcrossProviders) {
       }
       return state;
     };
-    EXPECT_EQ(run(hdc::ProjectionMode::kDeterministic),
-              run(hdc::ProjectionMode::kMaterialized))
-        << "aggregation mode " << static_cast<int>(agg);
+    const auto resident = run(hdc::kDefaultProjectionBudgetBytes, 1);
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      EXPECT_EQ(run(0, workers), resident)
+          << "aggregation mode " << static_cast<int>(agg)
+          << ", workers=" << workers;
+    }
   }
 }
 
