@@ -76,14 +76,14 @@ void LocalBus::post(Envelope env) {
   if (!handler) return;  // no consumer: the envelope is dropped
   ++delivered_;
   const std::vector<std::uint8_t> frame = encode(env);
-  const DecodeResult result = decode(frame);
+  DecodeResult result = decode(frame);
   if (!result.ok()) {
     // Impossible by the codec's round-trip contract (pinned by test_proto);
     // reaching this means memory corruption or a codec bug, so fail loudly.
     throw std::logic_error(std::string("LocalBus: round-trip decode failed: ") +
                            to_string(result.error));
   }
-  handler(result.envelope);
+  handler(std::move(result.envelope));
 }
 
 }  // namespace edgehd::proto

@@ -29,8 +29,10 @@
 
 namespace edgehd::proto {
 
-/// Receiver-side callback: one delivered envelope.
-using Handler = std::function<void(const Envelope&)>;
+/// Receiver-side callback: one delivered envelope, handed over as an rvalue
+/// (the decoded copy is discarded after delivery, so a handler may move its
+/// payload out).
+using Handler = std::function<void(Envelope&&)>;
 
 /// Synchronous in-process bus: post() delivers before returning, in posting
 /// order, so protocol control flow stays deterministic and single-stack.

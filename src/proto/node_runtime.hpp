@@ -130,8 +130,9 @@ class NodeRuntime {
   /// topological child, with one section per class (per (class, batch) for
   /// batch retraining), each of the sender's dimension. Anything else,
   /// including a BatchUpdate (no phase takes one), throws std::logic_error.
-  /// Query/probe messages are counted and dropped.
-  void on_envelope(const Envelope& env);
+  /// Query/probe messages are counted and dropped. Taken by value: the
+  /// sections move into the inbox, so pass an rvalue to avoid a copy.
+  void on_envelope(Envelope env);
 
   std::uint64_t probes_received() const noexcept { return probes_received_; }
   std::uint64_t queries_received() const noexcept { return queries_received_; }
@@ -231,10 +232,9 @@ class NodeRuntime {
   std::size_t checked_child(net::NodeId src,
                             const std::vector<hdc::AccumHV>& sections,
                             const char* what) const;
-  /// Files a child's k class accumulators into the class inbox; throws
+  /// Moves a child's k class accumulators into the class inbox; throws
   /// unless there is exactly one section per class (and see checked_child).
-  void file_class_set(net::NodeId src,
-                      const std::vector<hdc::AccumHV>& sections,
+  void file_class_set(net::NodeId src, std::vector<hdc::AccumHV>&& sections,
                       const char* what);
   /// Aggregates one class across the child inbox (moving the sections out),
   /// zeros where absent.
