@@ -886,6 +886,38 @@ TEST(NodeRuntime, EveryPhaseTakesExactlyTheFramesItsSessionPosts) {
   EXPECT_EQ(accepted, 6u);
 }
 
+TEST(NodeRuntime, ClassifierlessCheckpointFoldsLaterDeltas) {
+  // A gateway without a classifier checkpoints its own class accumulators.
+  // A reintegrated contribution adds to them and a propagated residual
+  // subtracts from them, as each would on a hosted classifier.
+  Gateway gw(Phase::kInitialTraining);
+  const auto deliver = [&gw](Frame frame) {
+    Message msg = make_frame(frame, gw.child, Gateway::kClasses);
+    auto lifted = gw.lifted(sections_of(msg));
+    gw.rt.on_envelope({proto::kProtoVersion, gw.child, gw.id, std::move(msg)});
+    return lifted;
+  };
+  auto expect = deliver(Frame::kInitial);
+  gw.rt.finish_initial_training();
+  EXPECT_EQ(gw.rt.checkpoint_state(), expect);
+
+  gw.rt.begin_reintegration();
+  const auto reintegrated = deliver(Frame::kReintegration);
+  gw.rt.finish_reintegration(gw.child);
+  for (std::size_t c = 0; c < Gateway::kClasses; ++c) {
+    hdc::accumulate(expect[c], reintegrated[c]);
+  }
+  EXPECT_EQ(gw.rt.checkpoint_state(), expect);
+
+  gw.rt.begin_residual_propagation();
+  const auto residual = deliver(Frame::kResidual);
+  gw.rt.finish_residual_propagation();
+  for (std::size_t c = 0; c < Gateway::kClasses; ++c) {
+    hdc::deaccumulate(expect[c], residual[c]);
+  }
+  EXPECT_EQ(gw.rt.checkpoint_state(), expect);
+}
+
 TEST(NodeRuntime, StateSyncFromASupersededIncarnationThrows) {
   Gateway gw(Phase::kInitialTraining);
   gw.rt.on_envelope(
