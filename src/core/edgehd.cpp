@@ -398,23 +398,48 @@ void EdgeHdSystem::ensure_train_encoded(
 
 void EdgeHdSystem::ensure_test_encoded() const {
   if (!encoded_test_.empty()) return;
+  // Level by level, all healthy: each leaf encodes the whole test split in
+  // one batch, then each aggregating node aggregates its children's rows in
+  // one encode_batch. Only classifier nodes are evaluated, so only their
+  // rows are kept; every other node's rows are consumed by its parent.
+  const std::size_t n = ds_.test_size();
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<std::vector<BipolarHV>> rows(topology_.num_nodes());
+  for (NodeId id : topology_.bottom_up()) {
+    const proto::NodeRuntime& rt = nodes_[id];
+    if (topology_.is_leaf(id)) {
+      rows[id] = rt.leaf_encoder().encode_batch(
+          leaf_slices(ds_, rt.partition(), ds_.test_x,
+                      std::span<const std::size_t>(all)),
+          *pool_);
+      continue;
+    }
+    const auto& kids = topology_.children(id);
+    std::vector<std::vector<BipolarHV>> entries(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (NodeId kid : kids) {
+        entries[s].push_back(has_classifier(kid) ? rows[kid][s]
+                                                 : std::move(rows[kid][s]));
+      }
+    }
+    for (NodeId kid : kids) {
+      if (!has_classifier(kid)) rows[kid] = {};
+    }
+    rows[id] = rt.aggregator().encode_batch(std::move(entries), *pool_);
+  }
   encoded_test_.assign(topology_.num_nodes(), {});
   packed_test_.assign(topology_.num_nodes(), {});
   for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
     if (!has_classifier(id)) continue;
-    encoded_test_[id].resize(ds_.test_size());
-    packed_test_[id].resize(ds_.test_size());
+    // Classifier nodes also keep each query packed for the popcount
+    // similarity path.
+    encoded_test_[id] = std::move(rows[id]);
+    packed_test_[id].resize(n);
+    runtime::parallel_for(*pool_, n, [&](std::size_t s) {
+      packed_test_[id][s] = hdc::kernels::pack_query(encoded_test_[id][s]);
+    });
   }
-  runtime::parallel_for(*pool_, ds_.test_size(), [&](std::size_t s) {
-    auto hvs = encode_all(ds_.test_x[s]);
-    for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
-      // Only classifier nodes are evaluated; they also keep the query packed
-      // for the popcount similarity path.
-      if (!has_classifier(id)) continue;
-      packed_test_[id][s] = hdc::kernels::pack_query(hvs[id]);
-      encoded_test_[id][s] = std::move(hvs[id]);
-    }
-  });
 }
 
 // ---- training: thin wrappers over the protocol sessions --------------------

@@ -91,7 +91,30 @@ struct KernelTable {
   void (*sparse_gemv_f32)(const float* blocked, const std::uint32_t* starts,
                           std::size_t rows, std::size_t window,
                           const float* xx, float* out);
+
+  /// Sparse ternary projection over a transposed tile (the hierarchical
+  /// aggregation, hier::HierEncoder). Row r has `nnz` input taps stored
+  /// sign-sorted at taps[r * nnz ..]: the first npos[r] carry +1, the rest
+  /// -1. The tile holds q samples column-wise, tile[i * q + s] = input i of
+  /// sample s, and for every r in [0, rows) and s in [0, q):
+  ///   out[r * q + s] = sum_{t < npos[r]} tile[taps[r * nnz + t] * q + s]
+  ///                  - sum_{npos[r] <= t < nnz} tile[taps[r * nnz + t] * q + s]
+  /// in int64 lanes, so every int32 input sums exactly and every backend
+  /// returns the same value.
+  void (*ternary_project)(const std::uint32_t* taps, const std::uint32_t* npos,
+                          std::size_t nnz, std::size_t rows,
+                          const std::int32_t* tile, std::size_t q,
+                          std::int64_t* out);
 };
+
+namespace detail {
+/// The scalar ternary_project, shared by backends that have no faster one
+/// (NEON) and by the AVX2 kernel for narrow tiles (q < 4, e.g. one query).
+void ternary_project_scalar(const std::uint32_t* taps,
+                            const std::uint32_t* npos, std::size_t nnz,
+                            std::size_t rows, const std::int32_t* tile,
+                            std::size_t q, std::int64_t* out);
+}  // namespace detail
 
 /// The portable reference table. Always available.
 const KernelTable& scalar_table();

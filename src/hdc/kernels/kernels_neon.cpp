@@ -144,6 +144,8 @@ const KernelTable kNeonTable = {
     "neon",          popcount_words_neon, xor_popcount_neon,
     planes_dot_neon, pack_signs_neon,     gemv_f32_neon,
     gemm_f32_neon,   sparse_gemv_f32_neon,
+    // No NEON ternary projection yet: the scalar loop serves.
+    detail::ternary_project_scalar,
 };
 
 }  // namespace

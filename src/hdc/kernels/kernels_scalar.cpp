@@ -97,11 +97,38 @@ void sparse_gemv_f32_scalar(const float* blocked, const std::uint32_t* starts,
 
 }  // namespace
 
+void detail::ternary_project_scalar(const std::uint32_t* taps,
+                                    const std::uint32_t* npos, std::size_t nnz,
+                                    std::size_t rows, const std::int32_t* tile,
+                                    std::size_t q, std::int64_t* out) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint32_t* tp = taps + r * nnz;
+    const std::size_t np = npos[r];
+    std::int64_t* o = out + r * q;
+    if (q == 1) {  // one query: keep the sum in a register
+      std::int64_t acc = 0;
+      for (std::size_t t = 0; t < np; ++t) acc += tile[tp[t]];
+      for (std::size_t t = np; t < nnz; ++t) acc -= tile[tp[t]];
+      *o = acc;
+      continue;
+    }
+    for (std::size_t s = 0; s < q; ++s) o[s] = 0;
+    for (std::size_t t = 0; t < np; ++t) {
+      const std::int32_t* x = tile + static_cast<std::size_t>(tp[t]) * q;
+      for (std::size_t s = 0; s < q; ++s) o[s] += x[s];
+    }
+    for (std::size_t t = np; t < nnz; ++t) {
+      const std::int32_t* x = tile + static_cast<std::size_t>(tp[t]) * q;
+      for (std::size_t s = 0; s < q; ++s) o[s] -= x[s];
+    }
+  }
+}
+
 const KernelTable& scalar_table() {
   static const KernelTable table = {
       "scalar",          popcount_words_scalar, xor_popcount_scalar,
       planes_dot_scalar, pack_signs_scalar,     gemv_f32_scalar,
-      gemm_f32_scalar,   sparse_gemv_f32_scalar,
+      gemm_f32_scalar,   sparse_gemv_f32_scalar, detail::ternary_project_scalar,
   };
   return table;
 }

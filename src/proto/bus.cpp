@@ -41,12 +41,10 @@ const std::array<TypeObs, 13>& type_obs() {
 
 }  // namespace
 
-std::uint64_t account_delivery(const Message& msg) {
-  const std::uint64_t size = wire_size(msg);
+void account_delivery(const Message& msg, std::uint64_t bytes) {
   const auto idx = static_cast<std::size_t>(type_of(msg));
   type_obs()[idx].messages.inc();
-  type_obs()[idx].bytes.inc(size);
-  return size;
+  type_obs()[idx].bytes.inc(bytes);
 }
 
 }  // namespace detail
@@ -67,7 +65,10 @@ void LocalBus::post(Envelope env) {
   if (env.dst >= handlers_.size()) {
     throw std::out_of_range("LocalBus: destination out of range");
   }
-  const std::uint64_t size = detail::account_delivery(env.msg);
+  std::uint64_t size = 0;
+  const std::vector<std::uint8_t> frame = encode(env, &size);
+  detail::account_delivery(env.msg, size);
+  env.msg = {};  // the frame carries the payload from here on
   if (charge_ != nullptr) {
     charge_->bytes += size;
     ++charge_->messages;
@@ -75,7 +76,6 @@ void LocalBus::post(Envelope env) {
   const Handler& handler = handlers_[env.dst];
   if (!handler) return;  // no consumer: the envelope is dropped
   ++delivered_;
-  const std::vector<std::uint8_t> frame = encode(env);
   DecodeResult result = decode(frame);
   if (!result.ok()) {
     // Impossible by the codec's round-trip contract (pinned by test_proto);

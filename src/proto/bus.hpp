@@ -50,7 +50,9 @@ class LocalBus {
   void subscribe(net::NodeId node, Handler handler);
 
   /// Delivers `env` to the handler subscribed for env.dst before returning
-  /// (no handler: the envelope is charged and dropped).
+  /// (no handler: the envelope is charged and dropped). The envelope is
+  /// encoded once, charged the wire size the encoder planned, and released
+  /// before the frame is decoded, so a class set is not held twice.
   void post(Envelope env);
 
   /// Attaches the CommStats sink charged wire_size() per posted envelope
@@ -67,10 +69,10 @@ class LocalBus {
 };
 
 namespace detail {
-/// Advances the per-type "proto.<name>.messages/bytes" registry counters and
-/// returns the message's canonical wire size. Shared by the bus and by the
-/// query walk (which accounts envelopes without a bus).
-std::uint64_t account_delivery(const Message& msg);
+/// Advances the per-type "proto.<name>.messages/bytes" registry counters by
+/// one message of `bytes` (its canonical wire_size). Shared by the bus and by
+/// the query walk (which accounts envelopes without a bus).
+void account_delivery(const Message& msg, std::uint64_t bytes);
 }  // namespace detail
 
 }  // namespace edgehd::proto

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "obs/metrics.hpp"
 #include "section_codec.hpp"
@@ -122,11 +123,12 @@ bool read_bipolar(ByteReader& r, hdc::BipolarHV& out) {
 
 // ---- section-coded class sets: u32 count, u32 dim each, section bodies ----
 
-void write_framed_sections(ByteWriter& w,
-                           std::span<const hdc::AccumHV> sections) {
+/// Returns the section bodies' bytes (the framing is not counted).
+std::uint64_t write_framed_sections(ByteWriter& w,
+                                    std::span<const hdc::AccumHV> sections) {
   w.u32(static_cast<std::uint32_t>(sections.size()));
   for (const auto& s : sections) w.u32(static_cast<std::uint32_t>(s.size()));
-  write_sections(w, sections);
+  return write_sections(w, sections);
 }
 
 bool read_framed_sections(ByteReader& r, std::vector<hdc::AccumHV>& out) {
@@ -150,9 +152,12 @@ bool read_framed_sections(ByteReader& r, std::vector<hdc::AccumHV>& out) {
 
 // ---- per-type payload codecs ---------------------------------------------
 
-void write_payload(ByteWriter& w, const Message& msg) {
-  std::visit(
-      [&w](const auto& m) {
+/// Writes `msg`'s payload and returns wire_size(msg). A class set's size
+/// comes from the section plan the payload was written with, so no frame
+/// is planned twice.
+std::uint64_t write_payload(ByteWriter& w, const Message& msg) {
+  const std::optional<std::uint64_t> planned = std::visit(
+      [&w](const auto& m) -> std::optional<std::uint64_t> {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, BatchUpdate>) {
           w.u32(m.class_id);
@@ -181,11 +186,11 @@ void write_payload(ByteWriter& w, const Message& msg) {
           w.u8(m.planned);
         } else if constexpr (std::is_same_v<T, StateSync>) {
           w.u64(m.incarnation);
-          write_framed_sections(w, m.sections);
+          return 8 + write_framed_sections(w, m.sections);
         } else if constexpr (std::is_same_v<T, ReducePartial>) {
           w.u8(m.phase);
           w.u32(m.origin);
-          write_framed_sections(w, m.sections);
+          return write_framed_sections(w, m.sections);
         } else {
           // DimensionPatch. Canonical form (enforced on decode): dims
           // strictly ascending; generations empty for the request form and
@@ -199,8 +204,10 @@ void write_payload(ByteWriter& w, const Message& msg) {
           for (const std::uint16_t g : m.generations) w.u16(g);
           for (const auto& col : m.columns) write_accum(w, col);
         }
+        return std::nullopt;
       },
       msg);
+  return planned ? *planned : wire_size(msg);
 }
 
 bool read_payload(ByteReader& r, MsgType type, Message& out) {
@@ -331,7 +338,7 @@ const char* to_string(DecodeError err) noexcept {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode(const Envelope& env) {
+std::vector<std::uint8_t> encode(const Envelope& env, std::uint64_t* wire) {
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
   w.u8(kMagic0);
@@ -341,7 +348,8 @@ std::vector<std::uint8_t> encode(const Envelope& env) {
   w.u32(static_cast<std::uint32_t>(env.src));
   w.u32(static_cast<std::uint32_t>(env.dst));
   w.u32(0);  // payload length, patched below
-  write_payload(w, env.msg);
+  const std::uint64_t size = write_payload(w, env.msg);
+  if (wire != nullptr) *wire = size;
   const auto payload_len = static_cast<std::uint32_t>(out.size() - kHeaderSize);
   for (int i = 0; i < 4; ++i) {
     out[12 + i] = static_cast<std::uint8_t>(payload_len >> (8 * i));

@@ -74,8 +74,12 @@ struct DecodeResult {
   bool ok() const noexcept { return error == DecodeError::kNone; }
 };
 
-/// Serializes an envelope (header + typed payload).
-std::vector<std::uint8_t> encode(const Envelope& env);
+/// Serializes an envelope (header + typed payload). When `wire` is
+/// non-null it also receives wire_size(env.msg), taken from the section plan
+/// the payload was written with, so a sender that both encodes and charges
+/// a class set plans it once.
+std::vector<std::uint8_t> encode(const Envelope& env,
+                                 std::uint64_t* wire = nullptr);
 
 /// Parses an envelope with strict bounds checking. Every failure mode maps
 /// to a DecodeError; the function never throws on malformed input and never

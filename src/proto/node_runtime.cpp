@@ -267,13 +267,12 @@ std::vector<AccumHV> NodeRuntime::checkpoint_state() const {
   return own_accums_;
 }
 
-hdc::AccumHV NodeRuntime::aggregate_inbox(std::size_t c) {
-  std::vector<AccumHV> slots(inbox_.size());
-  for (std::size_t ci = 0; ci < inbox_.size(); ++ci) {
-    slots[ci] = inbox_[ci][c].empty() ? AccumHV(child_dim(ci), 0)
-                                      : std::move(inbox_[ci][c]);
+std::vector<AccumHV> NodeRuntime::aggregate_inbox(runtime::ThreadPool& pool) {
+  std::vector<std::vector<AccumHV>> entries(num_classes_);
+  for (std::size_t c = 0; c < num_classes_; ++c) {
+    for (auto& per_child : inbox_) entries[c].push_back(std::move(per_child[c]));
   }
-  return aggregator().aggregate_accum(slots);
+  return aggregator().project_batch(std::move(entries), pool);
 }
 
 // ---- initial training -------------------------------------------------------
@@ -287,17 +286,17 @@ void NodeRuntime::begin_initial_training() {
   }
 }
 
-std::vector<AccumHV> NodeRuntime::finish_initial_training() {
+std::vector<AccumHV> NodeRuntime::finish_initial_training(
+    runtime::ThreadPool& pool) {
   require_phase(Phase::kInitialTraining, "finish_initial_training");
-  std::vector<AccumHV> accums(num_classes_, AccumHV(dim_, 0));
+  std::vector<AccumHV> accums;
   if (role_ == Role::kLeaf) {
+    accums.assign(num_classes_, AccumHV(dim_, 0));
     for (std::size_t s = 0; s < train_encoded_.size(); ++s) {
       hdc::bundle_into(accums[train_labels_[s]], train_encoded_[s]);
     }
   } else {
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      accums[c] = aggregate_inbox(c);
-    }
+    accums = aggregate_inbox(pool);
   }
   if (classifier_ != nullptr) {
     for (std::size_t c = 0; c < num_classes_; ++c) {
@@ -327,7 +326,8 @@ void NodeRuntime::begin_batch_retraining(const ClassBatches& batches) {
   }
 }
 
-std::vector<std::vector<AccumHV>> NodeRuntime::finish_batch_retraining() {
+std::vector<std::vector<AccumHV>> NodeRuntime::finish_batch_retraining(
+    runtime::ThreadPool& pool) {
   require_phase(Phase::kBatchRetraining, "finish_batch_retraining");
   const ClassBatches& batches = *batches_;
   std::vector<std::vector<AccumHV>> out(num_classes_);
@@ -340,14 +340,23 @@ std::vector<std::vector<AccumHV>> NodeRuntime::finish_batch_retraining() {
       }
     }
   } else {
-    std::vector<AccumHV> slots(batch_inbox_.size());
+    // The whole class set in one batch projection, (class, batch) order;
+    // an absent child's empty section reads as zeros.
+    std::vector<std::vector<AccumHV>> entries;
     for (std::size_t c = 0; c < num_classes_; ++c) {
       for (std::size_t b = 0; b < batches[c].size(); ++b) {
-        for (std::size_t ci = 0; ci < batch_inbox_.size(); ++ci) {
-          AccumHV& in = batch_inbox_[ci][c][b];
-          slots[ci] = in.empty() ? AccumHV(child_dim(ci), 0) : std::move(in);
+        auto& entry = entries.emplace_back();
+        for (auto& per_child : batch_inbox_) {
+          entry.push_back(std::move(per_child[c][b]));
         }
-        out[c].push_back(aggregator().aggregate_accum(slots));
+      }
+    }
+    batch_inbox_.clear();
+    auto flat = aggregator().project_batch(std::move(entries), pool);
+    std::size_t i = 0;
+    for (std::size_t c = 0; c < num_classes_; ++c) {
+      for (std::size_t b = 0; b < batches[c].size(); ++b) {
+        out[c].push_back(std::move(flat[i++]));
       }
     }
   }
@@ -387,14 +396,13 @@ void NodeRuntime::begin_residual_propagation() {
   }
 }
 
-std::vector<AccumHV> NodeRuntime::finish_residual_propagation() {
+std::vector<AccumHV> NodeRuntime::finish_residual_propagation(
+    runtime::ThreadPool& pool) {
   require_phase(Phase::kResidualPropagation, "finish_residual_propagation");
-  std::vector<AccumHV> total(num_classes_, AccumHV(dim_, 0));
-  if (residual_any_child_) {
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      total[c] = aggregate_inbox(c);
-    }
-  }
+  std::vector<AccumHV> total = residual_any_child_
+                                   ? aggregate_inbox(pool)
+                                   : std::vector<AccumHV>(num_classes_,
+                                                          AccumHV(dim_, 0));
   if (classifier_ != nullptr) {
     auto own = classifier_->take_residuals();
     for (std::size_t c = 0; c < num_classes_; ++c) {
@@ -422,25 +430,19 @@ void NodeRuntime::begin_reintegration() {
                 std::vector<AccumHV>(num_classes_));
 }
 
-std::vector<AccumHV> NodeRuntime::finish_reintegration(net::NodeId child) {
+std::vector<AccumHV> NodeRuntime::finish_reintegration(
+    net::NodeId child, runtime::ThreadPool& pool) {
   require_phase(Phase::kReintegration, "finish_reintegration");
   const std::size_t ci = child_index(child);
-  const auto& kids = topology_->children(id_);
   // Lift the delta through this node's aggregator: zeros in every slot but
   // the reintegrating child's. The hierarchical encoding is linear (up to
   // its integer rescale), so adding the lifted delta to the class
   // accumulators is what aggregating the full contribution would have
   // produced.
-  std::vector<AccumHV> slots(kids.size());
-  std::vector<AccumHV> delta(num_classes_);
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    for (std::size_t cj = 0; cj < kids.size(); ++cj) {
-      slots[cj] = cj == ci && !inbox_[ci][c].empty()
-                      ? std::move(inbox_[ci][c])
-                      : AccumHV(child_dim(cj), 0);
-    }
-    delta[c] = aggregator().aggregate_accum(slots);
+  for (std::size_t cj = 0; cj < inbox_.size(); ++cj) {
+    if (cj != ci) inbox_[cj].assign(num_classes_, AccumHV{});
   }
+  std::vector<AccumHV> delta = aggregate_inbox(pool);
   for (std::size_t c = 0; c < num_classes_; ++c) {
     if (classifier_ != nullptr) {
       AccumHV acc = classifier_->class_accumulator(c);
@@ -532,7 +534,8 @@ DimensionPatch NodeRuntime::finish_dimension_regen_leaf() {
   return out;
 }
 
-DimensionPatch NodeRuntime::finish_dimension_regen_internal() {
+DimensionPatch NodeRuntime::finish_dimension_regen_internal(
+    runtime::ThreadPool& pool) {
   require_phase(Phase::kDimensionRegen, "finish_dimension_regen_internal");
   if (role_ == Role::kLeaf) {
     throw std::logic_error(
@@ -555,20 +558,24 @@ DimensionPatch NodeRuntime::finish_dimension_regen_internal() {
   }
 
   // Lift each class's sparse child deltas through the aggregator: the child
-  // columns scatter into the concatenated input (zeros where a child did not
+  // columns scatter into the child's section (absent where a child did not
   // patch), and the projection — linear — maps the delta exactly as it would
   // have mapped the full re-contribution.
-  std::vector<AccumHV> lifted(num_classes_);
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    AccumHV concat(aggregator().in_dim(), 0);
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      const DimensionPatch& p = patch_inbox_[ci];
+  std::vector<std::vector<AccumHV>> entries(num_classes_,
+                                            std::vector<AccumHV>(kids.size()));
+  for (std::size_t ci = 0; ci < kids.size(); ++ci) {
+    const DimensionPatch& p = patch_inbox_[ci];
+    if (p.dims.empty()) continue;
+    for (std::size_t c = 0; c < num_classes_; ++c) {
+      AccumHV& section = entries[c][ci];
+      section.assign(cdims[ci], 0);
       for (std::size_t j = 0; j < p.dims.size(); ++j) {
-        concat[offs[ci] + p.dims[j]] = p.columns[c][j];
+        section[p.dims[j]] = p.columns[c][j];
       }
     }
-    lifted[c] = aggregator().project(concat);
   }
+  const std::vector<AccumHV> lifted =
+      aggregator().project_batch(std::move(entries), pool);
 
   if (aggregator().mode() == hier::AggregationMode::kConcatenation) {
     // Child dims map 1:1 into this node's space (children in order, each

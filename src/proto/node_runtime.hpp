@@ -158,7 +158,12 @@ class NodeRuntime {
   /// zeros). Installs the result into the classifier when one is hosted,
   /// else keeps a copy as the checkpoint, and returns the node's k class
   /// accumulators (what ships upward).
-  std::vector<hdc::AccumHV> finish_initial_training();
+  ///
+  /// Every internal-node finish step aggregates its whole class set in one
+  /// HierEncoder::project_batch over `pool`; the result is the same for
+  /// any worker count, and the call may run inside a pool task (the caller
+  /// takes part in the nested loop).
+  std::vector<hdc::AccumHV> finish_initial_training(runtime::ThreadPool& pool);
 
   // ---- batch retraining (Section IV-B) ------------------------------------
 
@@ -170,7 +175,8 @@ class NodeRuntime {
   /// loaded per-sample encodings, an internal node on the binarized batch
   /// hypervectors in (class asc, batch asc) order. Returns the node's batch
   /// accumulators, [class][batch]; the node keeps no copy.
-  std::vector<std::vector<hdc::AccumHV>> finish_batch_retraining();
+  std::vector<std::vector<hdc::AccumHV>> finish_batch_retraining(
+      runtime::ThreadPool& pool);
 
   // ---- residual propagation (Section IV-D, Figure 5b) ---------------------
 
@@ -180,7 +186,8 @@ class NodeRuntime {
   /// least one arrived), folds in this node's own queued residuals, applies
   /// the combined bundle to the local model, and returns it as this round's
   /// upward shipment (all-zero when there is nothing to report).
-  std::vector<hdc::AccumHV> finish_residual_propagation();
+  std::vector<hdc::AccumHV> finish_residual_propagation(
+      runtime::ThreadPool& pool);
 
   // ---- straggler reintegration --------------------------------------------
 
@@ -191,7 +198,8 @@ class NodeRuntime {
   /// the lifted delta into the hosted classifier's class accumulators, and
   /// returns it for the next hop up. Exact by linearity of the hierarchical
   /// encoding.
-  std::vector<hdc::AccumHV> finish_reintegration(net::NodeId child);
+  std::vector<hdc::AccumHV> finish_reintegration(net::NodeId child,
+                                                 runtime::ThreadPool& pool);
 
   // ---- adaptive dimensionality (DESIGN.md §14) -----------------------------
 
@@ -221,7 +229,7 @@ class NodeRuntime {
   /// are carried; in holographic mode the delta densifies and generations
   /// reset to 0 (the projection mixes rows, so no single source generation
   /// applies).
-  DimensionPatch finish_dimension_regen_internal();
+  DimensionPatch finish_dimension_regen_internal(runtime::ThreadPool& pool);
 
  private:
   std::size_t child_index(net::NodeId child) const;
@@ -236,9 +244,9 @@ class NodeRuntime {
   /// unless there is exactly one section per class (and see checked_child).
   void file_class_set(net::NodeId src, std::vector<hdc::AccumHV>&& sections,
                       const char* what);
-  /// Aggregates one class across the child inbox (moving the sections out),
-  /// zeros where absent.
-  hdc::AccumHV aggregate_inbox(std::size_t c);
+  /// Aggregates every class across the child inbox in one batch (moving the
+  /// sections out), zeros where absent.
+  std::vector<hdc::AccumHV> aggregate_inbox(runtime::ThreadPool& pool);
   void require_phase(Phase expected, const char* what) const;
   /// Adds a patch's per-class columns to the node's model: the classifier
   /// when one is hosted, else the checkpoint.

@@ -59,15 +59,17 @@ Settlement settle(const RoutingContext& ctx, NodeId node) {
 
 void account_escalation(const hdc::BipolarHV& query, std::uint64_t query_id,
                         std::uint32_t hops) {
-  detail::account_delivery(QueryEscalate{query_id, hops, query});
+  const Message msg = QueryEscalate{query_id, hops, query};
+  detail::account_delivery(msg, wire_size(msg));
 }
 
 void account_reply(const RoutedResult& result, std::uint64_t query_id) {
-  detail::account_delivery(
+  const Message msg =
       QueryReply{query_id, static_cast<std::uint32_t>(result.label),
                  result.confidence, static_cast<std::uint64_t>(result.node),
                  static_cast<std::uint32_t>(result.level),
-                 static_cast<std::uint8_t>(result.degraded ? 1 : 0)});
+                 static_cast<std::uint8_t>(result.degraded ? 1 : 0)};
+  detail::account_delivery(msg, wire_size(msg));
 }
 
 RoutedResult route_query(const RoutingContext& ctx,

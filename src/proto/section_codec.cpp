@@ -372,7 +372,8 @@ bool read_sections_huff(ByteReader& r, std::span<const std::uint32_t> dims,
 
 }  // namespace
 
-void write_sections(ByteWriter& w, std::span<const hdc::AccumHV> sections) {
+std::uint64_t write_sections(ByteWriter& w,
+                             std::span<const hdc::AccumHV> sections) {
   const SectionPlan plan = plan_sections(sections);
   w.u8(static_cast<std::uint8_t>(plan.mode));
   if (plan.mode == SectionMode::kFrameOfReference) {
@@ -391,7 +392,7 @@ void write_sections(ByteWriter& w, std::span<const hdc::AccumHV> sections) {
       }
       sink.byte_align();
     }
-    return;
+    return plan.bytes;
   }
   const auto& lengths = plan.huff.lengths;
   w.u32(static_cast<std::uint32_t>(lengths.size()));
@@ -406,6 +407,7 @@ void write_sections(ByteWriter& w, std::span<const hdc::AccumHV> sections) {
     }
     sink.byte_align();
   }
+  return plan.bytes;
 }
 
 bool read_sections(ByteReader& r, std::span<const std::uint32_t> dims,

@@ -55,8 +55,10 @@ inline constexpr std::uint32_t kMaxHuffCodeLen = 32;
 /// Appends the encoded section bodies to `w`: one mode byte, then the
 /// mode-specific side information and packed bits (each section's bit run
 /// is zero-padded to a byte boundary). Deterministic: parameters and mode
-/// are the argmin of encoded size.
-void write_sections(ByteWriter& w, std::span<const hdc::AccumHV> sections);
+/// are the argmin of encoded size. Returns the bytes appended, which equal
+/// sections_wire_size(sections) (one plan serves both).
+std::uint64_t write_sections(ByteWriter& w,
+                             std::span<const hdc::AccumHV> sections);
 
 /// Strict inverse of write_sections. `dims[i]` is section i's expected
 /// dimensionality (framed by the caller). Returns false on any structural

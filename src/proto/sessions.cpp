@@ -94,7 +94,10 @@ CommStats run_initial_training(const SessionContext& ctx) {
   ctx.stragglers->clear();
   arm(ctx, [](NodeRuntime& node) { node.begin_initial_training(); });
   reduce_up(
-      ctx, [](NodeRuntime& node) { return node.finish_initial_training(); },
+      ctx,
+      [&ctx](NodeRuntime& node) {
+        return node.finish_initial_training(*ctx.pool);
+      },
       [&ctx](NodeId id, std::vector<AccumHV> accums) {
         if (ctx.parked(id)) {
           // Cut off from the parent: park the contribution for
@@ -137,7 +140,10 @@ CommStats run_batch_retraining(const SessionContext& ctx) {
     node.begin_batch_retraining(batches);
   });
   reduce_up(
-      ctx, [](NodeRuntime& node) { return node.finish_batch_retraining(); },
+      ctx,
+      [&ctx](NodeRuntime& node) {
+        return node.finish_batch_retraining(*ctx.pool);
+      },
       [&ctx](NodeId id, std::vector<std::vector<AccumHV>> nb) {
         if (ctx.parked(id)) {
           // Perceptron updates are not linear, so there is nothing exact to
@@ -167,7 +173,9 @@ CommStats run_residual_propagation(const SessionContext& ctx) {
   arm(ctx, [](NodeRuntime& node) { node.begin_residual_propagation(); });
   reduce_up(
       ctx,
-      [](NodeRuntime& node) { return node.finish_residual_propagation(); },
+      [&ctx](NodeRuntime& node) {
+        return node.finish_residual_propagation(*ctx.pool);
+      },
       [&ctx](NodeId id, std::vector<AccumHV> ship) {
         // What ships upward: this round's bundle plus anything held back by
         // an earlier round whose uplink was down.
@@ -212,7 +220,7 @@ CommStats run_reintegration(const SessionContext& ctx) {
           kProtoVersion, child, parent,
           ReducePartial{kReduceReintegration,
                         static_cast<std::uint32_t>(child), std::move(cur)}});
-      cur = prt.finish_reintegration(child);
+      cur = prt.finish_reintegration(child, *ctx.pool);
       child = parent;
     }
     auto& list = *ctx.stragglers;
@@ -266,7 +274,7 @@ CommStats run_rejoin(const SessionContext& ctx, NodeId rejoined,
           StateSync{rt.known_incarnation(kid), std::move(state)}});
       if (kid != rejoined) synced_kids.push_back(kid);
     }
-    rt.finish_initial_training();
+    rt.finish_initial_training(*ctx.pool);
   };
 
   // 2. Rebuild local state. A leaf re-bundles its own samples; an internal
@@ -372,10 +380,10 @@ CommStats run_dimension_regeneration(const SessionContext& ctx,
   // ships the k-column patch one hop up — never a full class set.
   reduce_up(
       ctx,
-      [](NodeRuntime& node) {
+      [&ctx](NodeRuntime& node) {
         return node.role() == NodeRuntime::Role::kLeaf
                    ? node.finish_dimension_regen_leaf()
-                   : node.finish_dimension_regen_internal();
+                   : node.finish_dimension_regen_internal(*ctx.pool);
       },
       [&ctx](NodeId id, DimensionPatch patch) {
         if (patch.dims.empty() || ctx.parked(id)) return;

@@ -50,7 +50,9 @@ struct SessionContext {
   const net::Topology* topology = nullptr;
   std::span<NodeRuntime> nodes;  ///< indexed by NodeId
   LocalBus* bus = nullptr;
-  runtime::ThreadPool* pool = nullptr;  ///< closes a level's nodes at once
+  /// Closes a level's nodes at once; each internal node's batch projection
+  /// also splits over it.
+  runtime::ThreadPool* pool = nullptr;
   /// Who is up: the detector's beliefs decide delivery and reachability,
   /// the world alone gates local computation (net::Liveness::origin_up).
   net::Liveness liveness;

@@ -26,6 +26,7 @@
 #include "proto/envelope.hpp"
 #include "proto/messages.hpp"
 #include "proto/node_runtime.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -248,7 +249,8 @@ TEST(CollectiveScatter, FusedFrameMatchesPerClassDelivery) {
                                     16, 99);
   const std::vector<hdc::AccumHV> expect{reference.aggregate_accum(slots[0]),
                                          reference.aggregate_accum(slots[1])};
-  EXPECT_EQ(fused.finish_initial_training(), expect);
+  runtime::ThreadPool pool(1);
+  EXPECT_EQ(fused.finish_initial_training(pool), expect);
 }
 
 TEST(CollectiveScatter, MalformedFusedFramesAreProtocolViolations) {

@@ -523,6 +523,18 @@ TEST(EnvelopeReject, DimensionPatchNonCanonicalShapes) {
 
 // ---- corpus-driven corruption sweep ----------------------------------------
 
+TEST(EnvelopeSweep, EncodeReportsTheCanonicalWireSize) {
+  // The bus charges the size encode() reports, taken from the section plan
+  // the frame was written with; it is wire_size() for every message type.
+  for (const Envelope& env : corpus()) {
+    std::uint64_t wire = 0;
+    const auto buf = proto::encode(env, &wire);
+    EXPECT_EQ(wire, proto::wire_size(env.msg))
+        << proto::to_string(proto::type_of(env.msg));
+    EXPECT_EQ(buf, proto::encode(env));
+  }
+}
+
 TEST(EnvelopeSweep, EveryTruncationFailsTyped) {
   for (const Envelope& env : corpus()) {
     const auto buf = proto::encode(env);
@@ -663,6 +675,7 @@ struct Gateway {
   net::NodeId id = topo.parent(topo.leaves().front());
   net::NodeId child = topo.children(id).front();
   proto::ClassBatches batches{{{0}}, {{1}, {2}}};
+  runtime::ThreadPool pool{1};
   proto::NodeRuntime rt;
 
   explicit Gateway(Phase phase) {
@@ -852,17 +865,17 @@ TEST(NodeRuntime, EveryPhaseTakesExactlyTheFramesItsSessionPosts) {
       switch (frame) {
         case Frame::kInitial:
         case Frame::kStateSync:
-          EXPECT_EQ(gw.rt.finish_initial_training(),
+          EXPECT_EQ(gw.rt.finish_initial_training(gw.pool),
                     gw.lifted(sections_of(msg)))
               << where;
           break;
         case Frame::kResidual:
-          EXPECT_EQ(gw.rt.finish_residual_propagation(),
+          EXPECT_EQ(gw.rt.finish_residual_propagation(gw.pool),
                     gw.lifted(sections_of(msg)))
               << where;
           break;
         case Frame::kReintegration:
-          EXPECT_EQ(gw.rt.finish_reintegration(gw.child),
+          EXPECT_EQ(gw.rt.finish_reintegration(gw.child, gw.pool),
                     gw.lifted(sections_of(msg)))
               << where;
           break;
@@ -871,11 +884,12 @@ TEST(NodeRuntime, EveryPhaseTakesExactlyTheFramesItsSessionPosts) {
           const auto lifted = gw.lifted(sections_of(msg));
           const std::vector<std::vector<hdc::AccumHV>> expect{
               {lifted[0]}, {lifted[1], lifted[2]}};
-          EXPECT_EQ(gw.rt.finish_batch_retraining(), expect) << where;
+          EXPECT_EQ(gw.rt.finish_batch_retraining(gw.pool), expect) << where;
           break;
         }
         case Frame::kDimensionPatch:
-          EXPECT_FALSE(gw.rt.finish_dimension_regen_internal().dims.empty())
+          EXPECT_FALSE(
+              gw.rt.finish_dimension_regen_internal(gw.pool).dims.empty())
               << where;
           break;
         case Frame::kBatchUpdate:
@@ -898,12 +912,12 @@ TEST(NodeRuntime, ClassifierlessCheckpointFoldsLaterDeltas) {
     return lifted;
   };
   auto expect = deliver(Frame::kInitial);
-  gw.rt.finish_initial_training();
+  gw.rt.finish_initial_training(gw.pool);
   EXPECT_EQ(gw.rt.checkpoint_state(), expect);
 
   gw.rt.begin_reintegration();
   const auto reintegrated = deliver(Frame::kReintegration);
-  gw.rt.finish_reintegration(gw.child);
+  gw.rt.finish_reintegration(gw.child, gw.pool);
   for (std::size_t c = 0; c < Gateway::kClasses; ++c) {
     hdc::accumulate(expect[c], reintegrated[c]);
   }
@@ -911,11 +925,50 @@ TEST(NodeRuntime, ClassifierlessCheckpointFoldsLaterDeltas) {
 
   gw.rt.begin_residual_propagation();
   const auto residual = deliver(Frame::kResidual);
-  gw.rt.finish_residual_propagation();
+  gw.rt.finish_residual_propagation(gw.pool);
   for (std::size_t c = 0; c < Gateway::kClasses; ++c) {
     hdc::deaccumulate(expect[c], residual[c]);
   }
   EXPECT_EQ(gw.rt.checkpoint_state(), expect);
+}
+
+TEST(NodeRuntime, BatchClassSetWithAnAbsentChildMatchesPerEntryAggregation) {
+  // A gateway closes a 69-entry batch class set (three tiles) in one batch
+  // projection. One child delivers; the other is absent, so its sections
+  // read as zeros. Each entry equals aggregate_accum over a zero-filled
+  // slot, at every worker count.
+  const auto topo = net::Topology::paper_tree(4);
+  const net::NodeId gw = topo.parent(topo.leaves().front());
+  const auto kids = topo.children(gw);
+  ASSERT_EQ(kids.size(), 2u);
+  const std::vector<std::size_t> dims(kids.size(), Gateway::kDim);
+  proto::ClassBatches batches(2);
+  std::size_t sample = 0;
+  for (std::size_t b = 0; b < 40; ++b) batches[0].push_back({sample++});
+  for (std::size_t b = 0; b < 29; ++b) batches[1].push_back({sample++});
+  const auto frame = class_set(sample, 500);
+
+  const hier::HierEncoder reference(dims, Gateway::kDim, 99);
+  std::vector<std::vector<hdc::AccumHV>> expect(2);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    const std::vector<hdc::AccumHV> slots{frame[i],
+                                          hdc::AccumHV(Gateway::kDim, 0)};
+    expect[i < 40 ? 0 : 1].push_back(reference.aggregate_accum(slots));
+  }
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    runtime::ThreadPool pool(workers);
+    proto::NodeRuntime rt;
+    rt.init(gw, topo, Gateway::kDim, 2);
+    rt.install_aggregator(
+        std::make_unique<hier::HierEncoder>(dims, Gateway::kDim, 99));
+    rt.begin_batch_retraining(batches);
+    rt.on_envelope({proto::kProtoVersion, kids[0], gw,
+                    proto::ReducePartial{proto::kReduceBatch,
+                                         static_cast<std::uint32_t>(kids[0]),
+                                         frame}});
+    EXPECT_EQ(rt.finish_batch_retraining(pool), expect)
+        << "workers " << workers;
+  }
 }
 
 TEST(NodeRuntime, StateSyncFromASupersededIncarnationThrows) {
